@@ -19,7 +19,9 @@
 //! order is part of the deterministic contract).
 
 use gossip_sim::event::{Engine, LinkPlan};
-use gossip_sim::fault::{Bernoulli, Churn, Compose, Delay};
+use gossip_sim::fault::{
+    Asymmetric, Bernoulli, Byzantine, Churn, Compose, Delay, Partition, Regional,
+};
 use gossip_sim::net::{Network, NetworkConfig};
 use gossip_sim::protocol::{NodeControl, Protocol, Response, Served};
 use gossip_sim::rng::{PhaseRng, RngSchedule};
@@ -163,6 +165,28 @@ fn fault_models() -> Vec<(&'static str, Arc<dyn gossip_sim::fault::FaultModel>)>
     ]
 }
 
+/// The structured (adversarial) models, each alone so a divergence
+/// names its hook: partitions that heal mid-run and never heal
+/// (`cuts_pull`, `cuts_push`, `partition_active`), block-correlated
+/// outages, one-way link loss, corrupted responses
+/// (`corrupts_response`), and fail-stop crashes whose delayed traffic
+/// must die in transit (`crashed`).
+fn adversarial_models() -> Vec<(&'static str, Arc<dyn gossip_sim::fault::FaultModel>)> {
+    vec![
+        ("partition-heal", Arc::new(Partition::healing(0.4, 6))),
+        ("partition", Arc::new(Partition::permanent(0.5))),
+        ("regional", Arc::new(Regional::new(32, 0.2))),
+        ("asymmetric", Arc::new(Asymmetric::new(0.3, 0.5, 0.3))),
+        ("byzantine", Arc::new(Byzantine::new(0.15, 0.6))),
+        (
+            "fail-stop-delay",
+            Arc::new(
+                Compose::new(vec![Arc::new(Churn::fail_stop(0.2, 0.1))]).and(Delay::between(1, 3)),
+            ),
+        ),
+    ]
+}
+
 fn topologies() -> Vec<(&'static str, Arc<dyn gossip_sim::topology::Topology>)> {
     vec![
         ("complete", Complete.into_topology()),
@@ -178,6 +202,7 @@ type Trace = (
     Vec<MixState>,
     Vec<gossip_sim::metrics::RoundMetrics>,
     Vec<bool>,
+    gossip_sim::metrics::Degradation,
 );
 
 fn run_cell(
@@ -202,7 +227,12 @@ fn run_cell(
         net.round();
     }
     let halted = (0..n).map(|i| net.is_halted(i)).collect();
-    (net.states().to_vec(), net.metrics().rounds.clone(), halted)
+    (
+        net.states().to_vec(),
+        net.metrics().rounds.clone(),
+        halted,
+        net.metrics().degradation,
+    )
 }
 
 /// Same observable trace, produced by the event-driven engine under a
@@ -226,7 +256,12 @@ fn run_event_cell(
         net.round();
     }
     let halted = (0..n).map(|i| net.is_halted(i)).collect();
-    (net.states().to_vec(), net.metrics().rounds.clone(), halted)
+    (
+        net.states().to_vec(),
+        net.metrics().rounds.clone(),
+        halted,
+        net.metrics().degradation,
+    )
 }
 
 /// The full grid: {V1Compat, V2Batched} × {complete, hypercube,
@@ -284,17 +319,22 @@ fn hardest_cell_survives_many_repetitions() {
 }
 
 /// The unit-latency degeneracy at the raw-network level, across the
-/// same adversarial grid the parallel suite runs: for every
+/// parallel suite's grid plus every adversarial hook: for every
 /// {schedule} × {topology} × {fault model} cell, the event engine
 /// under `LinkPlan::unit()` must produce the identical Trace —
 /// per-node states (order-sensitive rolling hashes), per-round
-/// metrics, and the halted set — as the round-synchronous engine.
+/// metrics, the halted set, and the degradation tallies — as the
+/// round-synchronous engine.
 #[test]
 fn event_unit_matches_round_sync_across_the_grid() {
     let n = 512;
-    let rounds = 10;
-    let faults = fault_models();
+    let rounds = 12;
+    let faults: Vec<_> = fault_models()
+        .into_iter()
+        .chain(adversarial_models())
+        .collect();
     let topos = topologies();
+    let mut seen = gossip_sim::metrics::Degradation::default();
     for schedule in [RngSchedule::V1Compat, RngSchedule::V2Batched] {
         for (topo_name, topo) in &topos {
             for (fault_name, fault) in &faults {
@@ -304,9 +344,15 @@ fn event_unit_matches_round_sync_across_the_grid() {
                     event, round_sync,
                     "engines diverged: {schedule:?}/{topo_name}/{fault_name}"
                 );
+                let deg = round_sync.3;
+                seen.link_cuts += deg.link_cuts;
+                seen.byzantine_exposures += deg.byzantine_exposures;
+                seen.partitioned_rounds += deg.partitioned_rounds;
             }
         }
     }
+    // The adversarial hooks actually fired, so the cells compared them.
+    assert!(seen.link_cuts > 0 && seen.byzantine_exposures > 0 && seen.partitioned_rounds > 0);
 }
 
 /// Event-driven scheduling is thread-count-invariant: the heap's

@@ -3,11 +3,37 @@
 //! across sequential vs Rayon-parallel node stepping.
 
 use gossip_sim::{Network, NetworkConfig, RngSchedule};
-use lpt_gossip::driver::scatter;
+use lpt_gossip::driver::{scatter, RunReport};
 use lpt_gossip::low_load::{LowLoadClarkson, LowLoadConfig};
-use lpt_gossip::Driver;
+use lpt_gossip::{Driver, ExecInfo};
 use lpt_problems::Med;
 use lpt_workloads::med::{duo_disk, triple_disk};
+
+/// The deterministic part of a report, rendered for byte comparison.
+/// `exec` (which threads ran the rounds) and `obs` (wall-clock spans)
+/// describe how the bytes were produced, not the bytes, so both are
+/// pinned to fixed values before rendering.
+fn outcome<O: Clone + std::fmt::Debug>(report: &RunReport<O>) -> String {
+    let mut report = report.clone();
+    report.exec = ExecInfo::from_threads(1);
+    report.obs = None;
+    format!("{report:?}")
+}
+
+/// Runs `f` inside a fresh 2-worker pool, so the parallel leg of a
+/// seq/par comparison takes real threads on any machine.
+fn on_two_threads<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool")
+        .install(f)
+}
+
+const TWO_THREADS: ExecInfo = ExecInfo {
+    threads: 2,
+    parallel: true,
+};
 
 #[test]
 fn repeated_runs_are_identical() {
@@ -132,17 +158,18 @@ fn fault_models_are_deterministic_across_parallelism_and_reruns() {
             .run(&points)
             .expect("run")
     };
-    let par = run(true);
+    let par = on_two_threads(|| run(true));
     let seq = run(false);
-    let rerun = run(true);
+    let rerun = on_two_threads(|| run(true));
+    assert_eq!(par.exec, TWO_THREADS, "the par leg took the parallel path");
     assert_eq!(
-        format!("{par:?}"),
-        format!("{seq:?}"),
+        outcome(&par),
+        outcome(&seq),
         "sequential and parallel stepping must yield byte-identical reports"
     );
     assert_eq!(
-        format!("{par:?}"),
-        format!("{rerun:?}"),
+        outcome(&par),
+        outcome(&rerun),
         "reruns must be byte-identical"
     );
     // The fault machinery was actually exercised, and its counters are
@@ -276,11 +303,12 @@ fn delay_metrics_agree_across_parallelism() {
             .run(&points)
             .expect("run")
     };
-    let par = run(true);
+    let par = on_two_threads(|| run(true));
     let seq = run(false);
+    assert_eq!(par.exec, TWO_THREADS, "the par leg took the parallel path");
     assert_eq!(
-        format!("{par:?}"),
-        format!("{seq:?}"),
+        outcome(&par),
+        outcome(&seq),
         "delayed runs must be byte-identical across stepping modes"
     );
     assert!(par.faults.messages_delayed > 0, "delay was exercised");
@@ -367,15 +395,16 @@ fn topology_runs_agree_across_parallelism() {
             .run(&points)
             .expect("run")
     };
-    let par = run(true);
+    let par = on_two_threads(|| run(true));
     let seq = run(false);
-    let rerun = run(true);
+    let rerun = on_two_threads(|| run(true));
+    assert_eq!(par.exec, TWO_THREADS, "the par leg took the parallel path");
     assert_eq!(
-        format!("{par:?}"),
-        format!("{seq:?}"),
+        outcome(&par),
+        outcome(&seq),
         "sequential and parallel overlay runs must be byte-identical"
     );
-    assert_eq!(format!("{par:?}"), format!("{rerun:?}"));
+    assert_eq!(outcome(&par), outcome(&rerun));
     assert_eq!(par.topology, "torus2d");
 }
 
