@@ -100,7 +100,7 @@ pub use driver::{
     Algorithm, DoublingReport, Driver, DriverError, DriverProblem, ExecInfo, FaultSummary, LpMode,
     Progress, RunReport, RunSpec, SetMode, StopCause, StopCondition,
 };
-pub use gossip_sim::event::{Engine, Link, LinkPlan};
+pub use gossip_sim::event::{Engine, LinkPlan};
 pub use gossip_sim::fault::{
     Asymmetric, Bernoulli, Byzantine, Churn, Compose, Delay, FaultModel, IntoFaultModel, Partition,
     Perfect, Regional,

@@ -114,17 +114,6 @@ pub fn extract_sample_from<M, E: Clone, R: Rng + ?Sized>(
     SampleOutcome::Failed
 }
 
-/// Extracts a sample of size `r` from pull responses whose payloads are
-/// the elements themselves. See [`extract_sample_from`].
-pub fn extract_sample<E: Clone, R: Rng + ?Sized>(
-    responses: &[Option<Response<E>>],
-    r: usize,
-    relaxed_threshold: f64,
-    rng: &mut R,
-) -> SampleOutcome<E> {
-    extract_sample_from(responses, r, relaxed_threshold, rng, |m| Some(m))
-}
-
 /// The paper's pull count `s = c·(6d² + log2 n)`.
 pub fn pull_count(d: usize, n: usize, c: f64) -> usize {
     let log2n = (n.max(2) as f64).log2();
@@ -145,7 +134,7 @@ mod tests {
     fn collects_r_distinct() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let responses: Vec<_> = (0..20).map(|i| resp(i, 0, i as i32)).collect();
-        match extract_sample(&responses, 10, 0.75, &mut rng) {
+        match extract_sample_from(&responses, 10, 0.75, &mut rng, |m| Some(m)) {
             SampleOutcome::Sample(s) => assert_eq!(s.len(), 10),
             SampleOutcome::Failed => panic!(),
         }
@@ -157,7 +146,7 @@ mod tests {
         // 20 responses but only 5 distinct copies, 100% success: the
         // relaxation yields all 5.
         let responses: Vec<_> = (0..20).map(|i| resp(i % 5, 7, (i % 5) as i32)).collect();
-        match extract_sample(&responses, 10, 0.75, &mut rng) {
+        match extract_sample_from(&responses, 10, 0.75, &mut rng, |m| Some(m)) {
             SampleOutcome::Sample(s) => {
                 assert_eq!(s.len(), 5);
             }
@@ -170,7 +159,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let responses: Vec<_> = (0..20).map(|i| resp(i % 5, 7, 0)).collect();
         assert!(matches!(
-            extract_sample(&responses, 10, 1.1, &mut rng),
+            extract_sample_from(&responses, 10, 1.1, &mut rng, |m| Some(m)),
             SampleOutcome::Failed
         ));
     }
@@ -182,7 +171,7 @@ mod tests {
         responses.push(resp(0, 0, 1));
         responses.push(resp(1, 0, 2));
         assert!(matches!(
-            extract_sample(&responses, 10, 0.75, &mut rng),
+            extract_sample_from(&responses, 10, 0.75, &mut rng, |m| Some(m)),
             SampleOutcome::Failed
         ));
     }
@@ -191,7 +180,7 @@ mod tests {
     fn same_node_different_slots_are_distinct() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let responses: Vec<_> = (0..12).map(|i| resp(3, i as u64, i)).collect();
-        match extract_sample(&responses, 12, 0.75, &mut rng) {
+        match extract_sample_from(&responses, 12, 0.75, &mut rng, |m| Some(m)) {
             SampleOutcome::Sample(s) => assert_eq!(s.len(), 12),
             SampleOutcome::Failed => panic!(),
         }
@@ -228,7 +217,7 @@ mod tests {
             })
             .collect();
         let mut rng = ChaCha8Rng::seed_from_u64(4242);
-        match extract_sample(&responses, 12, 0.5, &mut rng) {
+        match extract_sample_from(&responses, 12, 0.5, &mut rng, |m| Some(m)) {
             SampleOutcome::Sample(s) => assert_eq!(
                 s,
                 vec![200, 101, 803, 701, 503, 402, 500, 103, 601, 802, 602, 603]
@@ -246,7 +235,7 @@ mod tests {
             })
             .collect();
         let mut rng2 = ChaCha8Rng::seed_from_u64(77);
-        match extract_sample(&responses2, 10, 0.75, &mut rng2) {
+        match extract_sample_from(&responses2, 10, 0.75, &mut rng2, |m| Some(m)) {
             SampleOutcome::Sample(s) => assert_eq!(s, vec![0, 10, 20, 30, 40]),
             SampleOutcome::Failed => panic!(),
         }
@@ -299,7 +288,9 @@ mod tests {
     fn sample_is_subset_of_responses() {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let responses: Vec<_> = (0..30).map(|i| resp(i, 0, 100 + i as i32)).collect();
-        if let SampleOutcome::Sample(s) = extract_sample(&responses, 8, 0.75, &mut rng) {
+        if let SampleOutcome::Sample(s) =
+            extract_sample_from(&responses, 8, 0.75, &mut rng, |m| Some(m))
+        {
             for v in s {
                 assert!((100..130).contains(&v));
             }

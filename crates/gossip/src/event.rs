@@ -1,10 +1,11 @@
-//! Discrete-event asynchronous core with typed links.
+//! Discrete-event asynchronous scheduler with typed links.
 //!
-//! The round-synchronous engine in [`crate::net`] advances every node in
+//! One phase kernel ([`crate::kernel`]), two schedulers. The round
+//! engine in [`crate::net`] sweeps every phase over all nodes in
 //! lockstep: one round = one iteration of the paper's repeat loop, with
 //! a fixed one-round message latency. Real gossip deployments are not
-//! synchronous — links have heterogeneous latency, finite rate, and
-//! loss. This module makes that a first-class execution model while
+//! synchronous — links have heterogeneous latency and loss. This module
+//! schedules the *same* per-node steps as events on a heap instead,
 //! keeping the determinism contract intact:
 //!
 //! * **Event queue.** A time-ordered binary heap ([`EventQueue`]) with a
@@ -14,32 +15,34 @@
 //!   identical specs replay byte-identically, with no dependence on
 //!   hash ordering or thread scheduling.
 //! * **Typed links.** A [`LinkPlan`] assigns every ordered node pair a
-//!   [`Link`] descriptor carrying per-edge latency, rate, and loss.
-//!   Link properties are drawn from a dedicated seed space
-//!   ([`LINK_SEED_MIX`], mirroring the fault subsystem's
+//!   latency and a per-message loss rate, drawn from a dedicated seed
+//!   space ([`LINK_SEED_MIX`], beside the fault subsystem's
 //!   `FAULT_SEED_MIX`), so installing a link plan cannot perturb the
 //!   protocol or fault RNG streams.
-//! * **Node components addressed by id.** Every event targets a node
-//!   (or an ordered edge between two nodes); per-node per-round RNG
-//!   streams are the same `(seed, round, node, phase)`-derived streams
-//!   the round engine uses, keyed by the node's *local* round.
+//! * **Node steps addressed by id.** Every event targets a node (or an
+//!   ordered edge between two nodes) and runs one kernel step for it:
+//!   emit pulls, serve one pull, compute, deliver one push, absorb. The
+//!   scheduler owns only the heap, the link plan, each node's *local*
+//!   round (the coordinate its RNG streams are keyed by), and the
+//!   end-of-tick restart scan.
 //!
 //! ## The unit-latency degeneracy
 //!
 //! The round-synchronous engine is the degenerate schedule of this one:
-//! under [`LinkPlan::unit`] (every link has latency 1, no loss,
-//! unlimited rate) the event engine reproduces the round engine
-//! byte-for-byte — same states, same metrics, same pinned
-//! trajectories. The virtual clock is partitioned into *ticks*; within
-//! a tick, events execute in phase-class order (start-round, serve,
-//! response delivery, compute, push delivery, absorb), and within a
-//! class in insertion order, which under unit latency is exactly the
-//! node order the round engine's phase loops use. Every RNG stream and
-//! fault-model hook is keyed by coordinates that coincide with the
-//! round engine's under unit latency (local round == tick == round
-//! index). The equivalence is enforced by tests across the full
-//! {schedule} × {topology} × {fault} grid and by the pinned-trajectory
-//! battery in CI.
+//! under [`LinkPlan::unit`] (every link has latency 1 and no loss) the
+//! event engine reproduces the round engine byte-for-byte — same
+//! states, same metrics, same pinned trajectories. The semantics cannot
+//! drift apart: both engines call the same kernel for the availability
+//! scan, every fault hook, the destination draws, and the per-round
+//! close-out. What remains is ordering. The virtual clock is
+//! partitioned into *ticks*; within a tick, events execute in
+//! phase-class order (start-round, serve, response delivery, compute,
+//! push delivery, absorb), and within a class in insertion order, which
+//! under unit latency is exactly the node order of the round engine's
+//! sweeps. Fault hooks are asked at the tick and RNG streams at the
+//! local round, which coincide with the round index under unit latency.
+//! The parity grid in `par_determinism.rs` and the pinned-trajectory
+//! battery in `tests/event_engine.rs` check the ordering argument.
 //!
 //! Select the engine via [`crate::NetworkConfig::engine`] (or
 //! `Driver::engine` in `lpt-gossip`):
@@ -55,13 +58,10 @@
 //! # let _ = cfg;
 //! ```
 
-use crate::fault::FaultModel;
-use crate::metrics::{Metrics, RoundMetrics};
-use crate::obs::{Counter, Gauge, Phase, Recorder};
-use crate::protocol::{NodeControl, Protocol, Response};
-use crate::rng::{derive_rng, phase, BatchedSampler, BatchedUniform, PhaseRng, RngSchedule};
-use crate::scratch::RoundScratch;
-use crate::topology::Adjacency;
+use crate::kernel::{At, Batch, Kernel, Pull, RoundAcc, Rows};
+use crate::obs::{Counter, Gauge, Phase};
+use crate::protocol::{Protocol, Response};
+use crate::rng::{derive_rng, phase, PhaseRng};
 use crate::NodeId;
 use rand::Rng;
 use std::cmp::Ordering;
@@ -129,66 +129,17 @@ pub const LINK_SEED_MIX: u64 = 0x0000_006C_696E_6B73;
 /// `Eq + Hash` (they participate in the server's exact spec cache key).
 pub const LOSS_PPM_SCALE: u32 = 1_000_000;
 
-/// One directed link's properties, as resolved by a [`LinkPlan`] for an
-/// ordered `(from, to)` node pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Link {
-    /// Delivery latency in rounds (ticks); the round engine's fixed
-    /// latency corresponds to `1` (send in round `i`, absorb in round
-    /// `i`'s absorb phase — the paper's "arrives at the beginning of
-    /// round `i + 1`" accounting).
-    pub latency: u32,
-    /// Per-message loss probability in parts per million
-    /// ([`LOSS_PPM_SCALE`] = certain loss).
-    pub loss_ppm: u32,
-    /// Link rate in message words per tick; `u32::MAX` means unlimited.
-    /// A finite rate adds a serialization delay to pushed messages (see
-    /// [`Link::serialization_ticks`]). `0` is not a valid rate: a link
-    /// that can never move a word would stall its messages forever, so
-    /// zero is rejected in debug builds and treated as unlimited in
-    /// release builds (no current [`LinkPlan`] produces it; the guard
-    /// exists for hand-built links and future finite-rate plans).
-    pub rate: u32,
-}
-
-impl Link {
-    /// The unit link: latency 1, no loss, unlimited rate — the round
-    /// engine's implicit link.
-    pub fn unit() -> Link {
-        Link {
-            latency: 1,
-            loss_ppm: 0,
-            rate: u32::MAX,
-        }
-    }
-
-    /// Extra ticks a `words`-word message spends serializing onto this
-    /// link beyond its latency: 0 on an unlimited-rate link, otherwise
-    /// `(words - 1) / rate` (the first word rides the latency itself).
-    ///
-    /// `rate == 0` is a construction error (see [`Link::rate`]): it
-    /// panics in debug builds and falls back to unlimited in release
-    /// builds rather than dividing by zero or stalling the queue.
-    pub fn serialization_ticks(&self, words: u64) -> u64 {
-        debug_assert!(self.rate > 0, "a zero-rate link can never deliver");
-        if self.rate == u32::MAX || self.rate == 0 {
-            0
-        } else {
-            words.saturating_sub(1) / u64::from(self.rate)
-        }
-    }
-}
-
-/// How per-edge [`Link`] properties are assigned.
+/// How per-edge link latency and loss are assigned.
 ///
 /// Plans are pure functions of `(seed, from, to)` — the same ordered
-/// pair always resolves to the same link within a run, and the draw
+/// pair always resolves to the same latency within a run, and the draw
 /// space is disjoint from protocol and fault streams (see
 /// [`LINK_SEED_MIX`]).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum LinkPlan {
-    /// Every link is [`Link::unit`]: the degenerate schedule under
-    /// which the event engine is byte-identical to the round engine.
+    /// Every link has latency 1 and no loss: the degenerate schedule
+    /// under which the event engine is byte-identical to the round
+    /// engine.
     Unit,
     /// Every link has the same fixed latency and loss.
     Const {
@@ -251,23 +202,18 @@ impl LinkPlan {
         }
     }
 
-    /// Resolves the ordered edge `(from, to)`: a pure function of
-    /// `(seed, from, to)` over the [`LINK_SEED_MIX`] stream space.
-    pub fn link(&self, seed: u64, from: NodeId, to: NodeId) -> Link {
+    /// The latency in ticks (≥ 1) of the ordered edge `(from, to)`: a
+    /// pure function of `(seed, from, to)` over the [`LINK_SEED_MIX`]
+    /// stream space. Latency 1 is the round engine's implicit link (send
+    /// in round `i`, absorb in round `i`'s absorb phase — the paper's
+    /// "arrives at the beginning of round `i + 1`" accounting).
+    pub fn latency(&self, seed: u64, from: NodeId, to: NodeId) -> u32 {
         match *self {
-            LinkPlan::Unit => Link::unit(),
-            LinkPlan::Const { latency, loss_ppm } => Link {
-                latency: latency.max(1),
-                loss_ppm,
-                rate: u32::MAX,
-            },
-            LinkPlan::Uniform { min, max, loss_ppm } => {
+            LinkPlan::Unit => 1,
+            LinkPlan::Const { latency, .. } => latency.max(1),
+            LinkPlan::Uniform { min, max, .. } => {
                 let mut rng = derive_rng(seed ^ LINK_SEED_MIX, u64::from(from), u64::from(to), 0);
-                Link {
-                    latency: rng.gen_range(min.max(1)..=max.max(min.max(1))),
-                    loss_ppm,
-                    rate: u32::MAX,
-                }
+                rng.gen_range(min.max(1)..=max.max(min.max(1)))
             }
         }
     }
@@ -498,75 +444,9 @@ enum Event<P: Protocol> {
     Absorb { node: u32 },
 }
 
-/// Per-round RNG batch for the V2 schedule, shared by every node at the
-/// same local round (consumed in event order, which under unit latency
-/// is the round engine's node order).
-enum BatchDraw {
-    Complete(BatchedUniform),
-    Overlay(BatchedSampler),
-}
-
-impl BatchDraw {
-    fn new(seed: u64, round: u64, phase: u64, n: usize, overlay: bool) -> BatchDraw {
-        if overlay {
-            BatchDraw::Overlay(BatchedSampler::new(seed, round, phase))
-        } else {
-            BatchDraw::Complete(BatchedUniform::new(seed, round, phase, n))
-        }
-    }
-
-    fn next(&mut self, nbrs: Option<&[u32]>) -> usize {
-        match (self, nbrs) {
-            (BatchDraw::Complete(s), None) => s.next_index(),
-            (BatchDraw::Overlay(s), Some(nbrs)) => nbrs[s.next_in(nbrs.len())] as usize,
-            _ => unreachable!("batch draw kind matches the topology it was built for"),
-        }
-    }
-}
-
-/// Per-tick metric accumulators (the event-engine analogue of the
-/// round engine's phase-local counters).
-#[derive(Default)]
-struct TickAcc {
-    pulls: u64,
-    pushes: u64,
-    max_work: u64,
-    served: u64,
-    resp_words: u64,
-    push_words: u64,
-    /// Lost responses: fault drops, corrupted-and-discarded, link loss.
-    resp_drop: u64,
-    /// Severed links (cut pulls + cut pushes) — also counted dropped.
-    cut: u64,
-    byzantine: u64,
-    /// Other losses: dropped pushes, offline destinations, crashed
-    /// senders, link loss on request/push legs.
-    misc_drop: u64,
-    delayed: u64,
-}
-
-/// Everything the event core borrows from its [`crate::Network`] for
-/// one tick. (The core cannot hold these itself: the network owns them
-/// and the round engine shares the same scratch.)
-pub(crate) struct TickCtx<'a, P: Protocol> {
-    pub(crate) protocol: &'a P,
-    pub(crate) states: &'a mut [P::State],
-    pub(crate) halted: &'a mut [bool],
-    pub(crate) scratch: &'a mut RoundScratch<P>,
-    pub(crate) metrics: &'a mut Metrics,
-    pub(crate) adjacency: Option<&'a Adjacency>,
-    pub(crate) seed: u64,
-    pub(crate) fault: &'a dyn FaultModel,
-    pub(crate) schedule: RngSchedule,
-    /// Metrics row index (the network's round counter).
-    pub(crate) round: u64,
-    /// The network's observability seam (see [`crate::obs`]): tick
-    /// spans, heap gauges, and stall counters report here — strictly
-    /// observational, nothing is read back.
-    pub(crate) recorder: &'a mut dyn Recorder,
-}
-
-/// The discrete-event scheduler state for one network.
+/// The discrete-event scheduler state for one network: the heap, the
+/// link plan, each node's local round, and the restart scan. Every
+/// per-node step it dispatches is a [`crate::kernel`] call.
 pub(crate) struct EventCore<P: Protocol> {
     plan: LinkPlan,
     queue: EventQueue<Event<P>>,
@@ -579,9 +459,9 @@ pub(crate) struct EventCore<P: Protocol> {
     /// of a node's serves precede its compute).
     serve_rng: Vec<Option<PhaseRng>>,
     /// V2 batched PULL_TARGET streams, keyed by local round.
-    pull_batches: BTreeMap<u64, BatchDraw>,
+    pull_batches: BTreeMap<u64, Option<Batch>>,
     /// V2 batched PUSH_DEST streams, keyed by local round.
-    push_batches: BTreeMap<u64, BatchDraw>,
+    push_batches: BTreeMap<u64, Option<Batch>>,
     /// Nodes whose next `StartRound` is due at the next tick, flagged
     /// during dispatch and scheduled by a single end-of-tick scan in
     /// node-id order. Scheduling them inline would hand a node that
@@ -625,59 +505,38 @@ impl<P: Protocol> EventCore<P> {
         self.in_flight
     }
 
-    /// Advances virtual time to the next tick that has events (or
-    /// synthesizes an empty tick when none do) and executes it,
-    /// appending one metrics row — the event-engine implementation of
-    /// [`crate::Network::round`].
-    pub(crate) fn tick(&mut self, ctx: &mut TickCtx<'_, P>) -> RoundMetrics {
-        let n = ctx.states.len();
-        let seed = ctx.seed;
-        let perfect = ctx.fault.is_perfect();
-        let tick = match self.queue.peek_time() {
-            Some(t) => tick_of(t),
-            None => self.next_tick,
-        };
+    /// The tick the next `round()` executes: the earliest tick holding
+    /// events, or a synthesized empty tick when none do.
+    pub(crate) fn begin_tick(&mut self) -> u64 {
+        let tick = self.queue.peek_time().map_or(self.next_tick, tick_of);
         self.next_tick = tick + 1;
+        tick
+    }
 
-        // Availability scan, once per tick (wall-clock coordinate):
-        // same contract as the round engine's phase 0.
-        let offline = &mut ctx.scratch.offline;
-        offline.clear();
-        if !perfect {
-            for (w, word) in offline.words_mut().iter_mut().enumerate() {
-                let base = w * 64;
-                let mut bits = 0u64;
-                for b in 0..64.min(n - base) {
-                    if ctx.fault.offline(seed, tick, (base + b) as NodeId) {
-                        bits |= 1 << b;
-                    }
-                }
-                *word = bits;
-            }
-        }
-        let offline_count = ctx.scratch.offline.count_ones();
-
+    /// Executes every event of tick `k.now` (see
+    /// [`EventCore::begin_tick`]), then schedules the next round starts.
+    pub(crate) fn tick(&mut self, k: &Kernel<'_, P>, mut rows: Rows<'_, P>, acc: &mut RoundAcc) {
+        let tick = k.now;
         // Heap depth is sampled at tick start (its per-run high water is
         // the queue's memory footprint); the pop count below is both a
         // running total and a per-tick high-water gauge.
-        ctx.recorder
+        rows.recorder
             .high_water(Gauge::HeapDepth, self.queue.len() as u64);
-        ctx.recorder.span_start(Phase::Tick);
-        let mut acc = TickAcc::default();
+        rows.recorder.span_start(Phase::Tick);
         let mut pops: u64 = 0;
         while self.queue.peek_time().is_some_and(|t| tick_of(t) == tick) {
             let (_, ev) = self.queue.pop().expect("peeked event");
             pops += 1;
-            self.dispatch(tick, ev, ctx, &mut acc);
+            self.dispatch(k, ev, &mut rows, acc);
         }
-        ctx.recorder.add(Counter::EventPops, pops);
-        ctx.recorder.high_water(Gauge::PopsPerTick, pops);
+        rows.recorder.add(Counter::EventPops, pops);
+        rows.recorder.high_water(Gauge::PopsPerTick, pops);
 
         // Schedule next-round starts in node-id order (see `restart`):
         // the induction that keeps same-tick same-class dispatch in
         // node order — and with it, delivery order — round after round.
-        for i in 0..n {
-            if std::mem::take(&mut self.restart[i]) {
+        for (i, restart) in self.restart.iter_mut().enumerate() {
+            if std::mem::take(restart) {
                 self.queue.push(
                     enc(tick + 1, CLASS_START),
                     Event::StartRound { node: i as u32 },
@@ -685,147 +544,85 @@ impl<P: Protocol> EventCore<P> {
             }
         }
 
-        // ---- Tick-end accounting (mirrors the round engine) ----------
-        let (total_load, max_load) = {
-            let mut total = 0u64;
-            let mut max = 0u64;
-            for s in ctx.states.iter() {
-                let l = ctx.protocol.load(s) as u64;
-                total += l;
-                max = max.max(l);
-            }
-            (total, max)
-        };
-        let halted_now = ctx.halted.iter().filter(|&&h| h).count() as u64;
-
-        if !perfect {
-            let deg = &mut ctx.metrics.degradation;
-            deg.link_cuts += acc.cut;
-            deg.byzantine_exposures += acc.byzantine;
-            if ctx.fault.partition_active(seed, tick) {
-                deg.partitioned_rounds += 1;
-                deg.unhealed_partition = true;
-            } else {
-                deg.unhealed_partition = false;
-            }
-        }
-
-        let rm = RoundMetrics {
-            round: ctx.round,
-            vtime: tick,
-            pulls: acc.pulls,
-            pushes: acc.pushes,
-            max_node_work: acc.max_work,
-            served: acc.served,
-            msg_words: acc.push_words + acc.resp_words,
-            total_load,
-            max_load,
-            halted: halted_now,
-            offline: offline_count,
-            dropped: acc.resp_drop + acc.cut + acc.misc_drop,
-            delayed: acc.delayed,
-        };
-        ctx.metrics.rounds.push(rm);
-
         // Batch streams for rounds every live node has moved past can
         // never be drawn from again.
-        let min_live_round = (0..n)
-            .filter(|&i| !ctx.halted[i])
+        let min_live_round = (0..rows.halted.len())
+            .filter(|&i| !rows.halted[i])
             .map(|i| self.local_round[i])
-            .min();
-        match min_live_round {
-            Some(r) => {
-                self.pull_batches.retain(|&k, _| k >= r);
-                self.push_batches.retain(|&k, _| k >= r);
-            }
-            None => {
-                self.pull_batches.clear();
-                self.push_batches.clear();
-            }
-        }
-        ctx.recorder.span_end(Phase::Tick);
-        rm
+            .min()
+            .unwrap_or(u64::MAX);
+        self.pull_batches.retain(|&r, _| r >= min_live_round);
+        self.push_batches.retain(|&r, _| r >= min_live_round);
+        rows.recorder.span_end(Phase::Tick);
     }
 
-    fn dispatch(&mut self, tick: u64, ev: Event<P>, ctx: &mut TickCtx<'_, P>, acc: &mut TickAcc) {
-        let n = ctx.states.len();
-        let seed = ctx.seed;
-        let perfect = ctx.fault.is_perfect();
+    /// A node's round ends without halting: its next round starts at
+    /// the next tick.
+    fn next_round(&mut self, i: usize) {
+        self.local_round[i] += 1;
+        self.restart[i] = true;
+    }
+
+    fn dispatch(
+        &mut self,
+        k: &Kernel<'_, P>,
+        ev: Event<P>,
+        rows: &mut Rows<'_, P>,
+        acc: &mut RoundAcc,
+    ) {
+        let (seed, tick) = (k.seed, k.now);
+        let s = &mut *rows.scratch;
         match ev {
             Event::StartRound { node } => {
                 let i = node as usize;
-                let r = self.local_round[i];
-                let scratch = &mut *ctx.scratch;
-                if scratch.offline.get(i) {
+                if k.offline.get(i) {
                     // An offline beat still consumes a round number (so
                     // under unit latency local rounds track ticks
                     // exactly, like the round engine's global round),
                     // emits nothing, and computes nothing — deliveries
-                    // addressed to it this tick are dropped at the
-                    // delivery events.
-                    scratch.inboxes[i].clear();
-                    self.local_round[i] = r + 1;
-                    self.restart[i] = true;
+                    // addressed to it this tick are dropped on arrival.
+                    s.inboxes[i].clear();
+                    self.next_round(i);
                     return;
                 }
-                let out = &mut scratch.queries[i];
-                out.clear();
-                let mut rng = PhaseRng::new(seed, r, u64::from(node), phase::PULL);
-                ctx.protocol.pulls(node, &ctx.states[i], &mut rng, out);
-                let count = out.len();
-                scratch.pull_counts[i] = count as u64;
-                acc.pulls += count as u64;
-                let rs = &mut scratch.responses[i];
-                rs.clear();
-                rs.resize_with(count, || None);
-                self.serve_rng[i] = Some(PhaseRng::new(seed, r, u64::from(node), phase::SERVE));
-
-                // Draw this round's pull targets — same streams, same
-                // order as the round engine (V1: this node's own
-                // PULL_TARGET stream in query order; V2: the shared
-                // per-round batch, consumed here in event order).
-                let nbrs = ctx.adjacency.map(|a| a.row(i));
+                let at = At {
+                    node: i,
+                    round: self.local_round[i],
+                };
+                let count = k.pull_node(at, false, &rows.states[i], &mut s.queries[i], acc);
+                s.pull_counts[i] = count;
+                s.responses[i].clear();
+                s.responses[i].resize_with(count as usize, || None);
+                self.serve_rng[i] = Some(PhaseRng::new(seed, at.round, i as u64, phase::SERVE));
+                let batch = self.pull_batches.entry(at.round).or_default();
+                k.dests(
+                    at,
+                    phase::PULL_TARGET,
+                    count as usize,
+                    batch,
+                    &mut s.pull_targets[i],
+                );
                 let mut max_rtt: u64 = 0;
-                if count > 0 {
-                    let mut v1_rng = (ctx.schedule == RngSchedule::V1Compat)
-                        .then(|| derive_rng(seed, r, u64::from(node), phase::PULL_TARGET));
-                    let batch = match v1_rng {
-                        Some(_) => None,
-                        None => Some(self.pull_batches.entry(r).or_insert_with(|| {
-                            BatchDraw::new(seed, r, phase::PULL_TARGET, n, nbrs.is_some())
-                        })),
-                    };
-                    let mut batch = batch;
-                    for k in 0..count {
-                        let t = match v1_rng.as_mut() {
-                            Some(rng) => match nbrs {
-                                None => rng.gen_range(0..n),
-                                Some(nbrs) => nbrs[rng.gen_range(0..nbrs.len())] as usize,
-                            },
-                            None => batch.as_mut().expect("v2 batch").next(nbrs),
-                        };
-                        let link_out = self.plan.link(seed, node, t as NodeId);
-                        let link_back = self.plan.link(seed, t as NodeId, node);
-                        let out_delay = u64::from(link_out.latency - 1);
-                        let resp_delay = link_back.latency - 1;
-                        max_rtt = max_rtt.max(out_delay + u64::from(resp_delay));
-                        // A request lost on the outbound leg never
-                        // reaches its target: the slot stays a failed
-                        // pull and no serve work is charged.
-                        if self.plan.lossy(seed, tick, node, 0, k as u64) {
-                            acc.misc_drop += 1;
-                            continue;
-                        }
-                        self.queue.push(
-                            enc(tick + out_delay, CLASS_SERVE),
-                            Event::ServePull {
-                                puller: node,
-                                k: k as u32,
-                                target: t as u32,
-                                resp_delay,
-                            },
-                        );
+                for (q, &target) in s.pull_targets[i].iter().enumerate() {
+                    let out_delay = u64::from(self.plan.latency(seed, node, target) - 1);
+                    let resp_delay = self.plan.latency(seed, target, node) - 1;
+                    max_rtt = max_rtt.max(out_delay + u64::from(resp_delay));
+                    // A request lost on the outbound leg never reaches
+                    // its target: the slot stays a failed pull and no
+                    // serve work is charged.
+                    if self.plan.lossy(seed, tick, node, 0, q as u64) {
+                        acc.dropped += 1;
+                        continue;
                     }
+                    self.queue.push(
+                        enc(tick + out_delay, CLASS_SERVE),
+                        Event::ServePull {
+                            puller: node,
+                            k: q as u32,
+                            target,
+                            resp_delay,
+                        },
+                    );
                 }
                 // Compute fires once every response had time to arrive
                 // (immediately when nothing was pulled): the node's
@@ -836,158 +633,80 @@ impl<P: Protocol> EventCore<P> {
 
             Event::ServePull {
                 puller,
-                k,
+                k: q,
                 target,
                 resp_delay,
             } => {
                 let i = puller as usize;
-                let t = target as usize;
-                let scratch = &mut *ctx.scratch;
-                if scratch.offline.get(t) {
-                    return; // response slot stays None: a failed pull
-                }
-                if !perfect
-                    && ctx
-                        .fault
-                        .cuts_pull(seed, tick, puller, target, u64::from(k))
-                {
-                    acc.cut += 1;
-                    return;
-                }
-                let q = &scratch.queries[i][k as usize];
-                let serve_rng = self.serve_rng[i]
+                let pull = Pull {
+                    puller: i,
+                    k: q as usize,
+                    target: target as usize,
+                };
+                let rng = self.serve_rng[i]
                     .as_mut()
                     .expect("serve stream set at round start");
-                let response = ctx
-                    .protocol
-                    .serve(target, &ctx.states[t], q, serve_rng)
-                    .map(|served| Response {
-                        msg: served.msg,
-                        from: target,
-                        slot: served.slot,
-                    });
-                if let Some(resp) = response {
-                    acc.served += 1;
-                    acc.resp_words += ctx.protocol.msg_words(&resp.msg) as u64;
-                    if !perfect
-                        && ctx
-                            .fault
-                            .corrupts_response(seed, tick, target, puller, u64::from(k))
-                    {
-                        acc.byzantine += 1;
-                        acc.resp_drop += 1;
-                        return;
-                    }
-                    if !perfect && ctx.fault.drops_response(seed, tick, puller, u64::from(k)) {
-                        acc.resp_drop += 1;
-                        return;
-                    }
-                    if self.plan.lossy(seed, tick, puller, 1, u64::from(k)) {
-                        acc.resp_drop += 1;
-                        return;
-                    }
-                    self.queue.push(
-                        enc(tick + u64::from(resp_delay), CLASS_RESP),
-                        Event::DeliverResponse { puller, k, resp },
-                    );
+                let query = &s.queries[i][q as usize];
+                let Some(resp) = k.serve_pull(rows.states, pull, query, rng, acc) else {
+                    return; // the response slot stays None: a failed pull
+                };
+                if self.plan.lossy(seed, tick, puller, 1, u64::from(q)) {
+                    acc.dropped += 1;
+                    return;
                 }
+                self.queue.push(
+                    enc(tick + u64::from(resp_delay), CLASS_RESP),
+                    Event::DeliverResponse { puller, k: q, resp },
+                );
             }
 
-            Event::DeliverResponse { puller, k, resp } => {
-                ctx.scratch.responses[puller as usize][k as usize] = Some(resp);
+            Event::DeliverResponse { puller, k: q, resp } => {
+                s.responses[puller as usize][q as usize] = Some(resp);
             }
 
             Event::Compute { node } => {
                 let i = node as usize;
-                let r = self.local_round[i];
-                let scratch = &mut *ctx.scratch;
-                let out = &mut scratch.pushes[i];
-                out.clear();
-                scratch.compute_halts[i] = false;
-                if scratch.offline.get(i) {
-                    // Went offline mid-round (heterogeneous latency
-                    // only; impossible under unit, where compute shares
-                    // the start-round tick): skip the step, like the
-                    // round engine's offline compute.
-                    scratch.responses[i].clear();
-                } else {
-                    let resp = &mut scratch.responses[i];
-                    let mut rng = PhaseRng::new(seed, r, u64::from(node), phase::COMPUTE);
-                    scratch.compute_halts[i] =
-                        ctx.protocol
-                            .compute(node, &mut ctx.states[i], resp, &mut rng, out)
-                            == NodeControl::Halt;
-                    resp.clear();
-                }
-                let work = scratch.pull_counts[i] + out.len() as u64;
-                acc.max_work = acc.max_work.max(work);
-                acc.pushes += out.len() as u64;
-
-                if !out.is_empty() {
-                    let nbrs = ctx.adjacency.map(|a| a.row(i));
-                    let mut v1_rng = (ctx.schedule == RngSchedule::V1Compat)
-                        .then(|| derive_rng(seed, r, u64::from(node), phase::PUSH_DEST));
-                    let mut batch = match v1_rng {
-                        Some(_) => None,
-                        None => Some(self.push_batches.entry(r).or_insert_with(|| {
-                            BatchDraw::new(seed, r, phase::PUSH_DEST, n, nbrs.is_some())
-                        })),
+                let at = At {
+                    node: i,
+                    round: self.local_round[i],
+                };
+                // Offline here only under heterogeneous latency (under
+                // unit links compute shares the start-round tick): the
+                // kernel then skips the step.
+                let state = &mut rows.states[i];
+                s.compute_halts[i] =
+                    k.compute_node(at, false, state, &mut s.responses[i], &mut s.pushes[i]);
+                let out = &mut s.pushes[i];
+                acc.work(s.pull_counts[i], out.len());
+                let batch = self.push_batches.entry(at.round).or_default();
+                k.dests(at, phase::PUSH_DEST, out.len(), batch, &mut s.push_dests[i]);
+                for (q, (msg, &dest)) in out.drain(..).zip(&s.push_dests[i]).enumerate() {
+                    let Some(delay) = k.push_fate(i, q, dest as usize, &msg, acc) else {
+                        continue;
                     };
-                    for (k, msg) in out.drain(..).enumerate() {
-                        let words = ctx.protocol.msg_words(&msg) as u64;
-                        acc.push_words += words;
-                        let dest = match v1_rng.as_mut() {
-                            Some(rng) => match nbrs {
-                                None => rng.gen_range(0..n),
-                                Some(nbrs) => nbrs[rng.gen_range(0..nbrs.len())] as usize,
-                            },
-                            None => batch.as_mut().expect("v2 batch").next(nbrs),
-                        };
-                        let delay = if perfect {
-                            0
-                        } else {
-                            if ctx
-                                .fault
-                                .cuts_push(seed, tick, node, dest as NodeId, k as u64)
-                            {
-                                acc.cut += 1;
-                                continue;
-                            }
-                            if ctx.fault.drops_push(seed, tick, node, k as u64) {
-                                acc.misc_drop += 1;
-                                continue;
-                            }
-                            ctx.fault.push_delay(seed, tick, node, k as u64)
-                        };
-                        if self.plan.lossy(seed, tick, node, 2, k as u64) {
-                            acc.misc_drop += 1;
-                            continue;
-                        }
-                        let link = self.plan.link(seed, node, dest as NodeId);
-                        let stall = link.serialization_ticks(words);
-                        if stall > 0 {
-                            ctx.recorder.add(Counter::SerializationStalls, 1);
-                        }
-                        let deliver = tick + u64::from(link.latency - 1) + stall + delay;
-                        if deliver > tick {
-                            acc.delayed += 1;
-                            self.in_flight += 1;
-                        }
-                        // Same-tick deliveries also ride the heap: the
-                        // class-4 pop order is then "older (delayed)
-                        // messages first, current ones in (sender,
-                        // message) order" — exactly the round engine's
-                        // inbox fill order.
-                        self.queue.push(
-                            enc(deliver, CLASS_PUSH),
-                            Event::DeliverPush {
-                                dest: dest as u32,
-                                sender: node,
-                                send_tick: tick,
-                                msg,
-                            },
-                        );
+                    if self.plan.lossy(seed, tick, node, 2, q as u64) {
+                        acc.dropped += 1;
+                        continue;
                     }
+                    let deliver = tick + u64::from(self.plan.latency(seed, node, dest) - 1) + delay;
+                    if deliver > tick {
+                        acc.delayed += 1;
+                        self.in_flight += 1;
+                    }
+                    // Same-tick deliveries also ride the heap: the
+                    // class-4 pop order is then "older (delayed)
+                    // messages first, current ones in (sender, message)
+                    // order" — exactly the round engine's inbox fill
+                    // order.
+                    self.queue.push(
+                        enc(deliver, CLASS_PUSH),
+                        Event::DeliverPush {
+                            dest,
+                            sender: node,
+                            send_tick: tick,
+                            msg,
+                        },
+                    );
                 }
                 self.queue
                     .push(enc(tick, CLASS_ABSORB), Event::Absorb { node });
@@ -1000,53 +719,31 @@ impl<P: Protocol> EventCore<P> {
                 msg,
             } => {
                 let d = dest as usize;
-                let cross_tick = tick > send_tick;
-                if cross_tick {
+                let late = tick > send_tick;
+                if late {
                     self.in_flight -= 1;
                 }
-                // A message that outlived a fail-stop sender is dropped
-                // in transit (crash checks apply only to cross-tick
-                // deliveries, as in the round engine's delay queue).
-                if ctx.scratch.offline.get(d)
-                    || (cross_tick && !perfect && ctx.fault.crashed(seed, tick, sender))
-                {
-                    acc.misc_drop += 1;
-                } else if ctx.halted[d] {
-                    // The round engine delivers to a halted node's inbox
-                    // and its absorb clears it unread; with no absorb
-                    // event left, discard at delivery — same observable
-                    // effect, not a drop.
-                } else {
-                    ctx.scratch.inboxes[d].push(msg);
+                // A halted node has no absorb left to clear its inbox:
+                // discard at delivery — not a drop, as in the round
+                // engine, whose halted nodes clear their inbox unread.
+                if !k.lost_on_arrival(d, sender, late, acc) && !rows.halted[d] {
+                    s.inboxes[d].push(msg);
                 }
             }
 
             Event::Absorb { node } => {
                 let i = node as usize;
-                let r = self.local_round[i];
-                let scratch = &mut *ctx.scratch;
-                let inbox = &mut scratch.inboxes[i];
-                let mut halt = scratch.compute_halts[i];
-                if scratch.offline.get(i) {
-                    inbox.clear();
-                    halt = false;
-                } else {
-                    let mut rng = PhaseRng::new(seed, r, u64::from(node), phase::ABSORB);
-                    if ctx
-                        .protocol
-                        .absorb(node, &mut ctx.states[i], inbox, &mut rng)
-                        == NodeControl::Halt
-                    {
-                        halt = true;
-                    }
-                    inbox.clear();
-                }
+                let at = At {
+                    node: i,
+                    round: self.local_round[i],
+                };
+                let absorbed_halt =
+                    k.absorb_node(at, false, &mut rows.states[i], &mut s.inboxes[i]);
                 self.serve_rng[i] = None;
-                if halt {
-                    ctx.halted[i] = true;
+                if s.compute_halts[i] || absorbed_halt {
+                    rows.halted[i] = true;
                 } else {
-                    self.local_round[i] = r + 1;
-                    self.restart[i] = true;
+                    self.next_round(i);
                 }
             }
         }
@@ -1134,17 +831,15 @@ mod tests {
         let plan = LinkPlan::uniform(2, 5);
         for from in 0..8u32 {
             for to in 0..8u32 {
-                let a = plan.link(99, from, to);
-                let b = plan.link(99, from, to);
-                assert_eq!(a, b, "links are pure functions of (seed, from, to)");
-                assert!((2..=5).contains(&a.latency));
+                let a = plan.latency(99, from, to);
+                let b = plan.latency(99, from, to);
+                assert_eq!(a, b, "latencies are pure functions of (seed, from, to)");
+                assert!((2..=5).contains(&a));
             }
         }
         // Different seeds draw different edge latencies somewhere.
-        let diverges =
-            (0..64u32).any(|e| plan.link(1, e, e + 1).latency != plan.link(2, e, e + 1).latency);
+        let diverges = (0..64u32).any(|e| plan.latency(1, e, e + 1) != plan.latency(2, e, e + 1));
         assert!(diverges, "the seed must matter");
-        assert_eq!(plan.link(7, 0, 1).rate, u32::MAX);
     }
 
     #[test]
@@ -1159,7 +854,7 @@ mod tests {
         }
         .is_unit());
         assert!(!LinkPlan::unit().lossy(3, 0, 0, 0, 0));
-        assert_eq!(LinkPlan::unit().link(11, 4, 9), Link::unit());
+        assert_eq!(LinkPlan::unit().latency(11, 4, 9), 1);
     }
 
     #[test]
@@ -1177,20 +872,5 @@ mod tests {
         }
         let rate = f64::from(lost) / f64::from(trials);
         assert!((0.2..0.3).contains(&rate), "loss rate {rate}");
-    }
-
-    #[test]
-    fn serialization_ticks_follow_the_rate() {
-        let unlimited = Link::unit();
-        assert_eq!(unlimited.serialization_ticks(1_000_000), 0);
-        let slow = Link {
-            latency: 2,
-            loss_ppm: 0,
-            rate: 4,
-        };
-        assert_eq!(slow.serialization_ticks(1), 0);
-        assert_eq!(slow.serialization_ticks(4), 0);
-        assert_eq!(slow.serialization_ticks(5), 1);
-        assert_eq!(slow.serialization_ticks(13), 3);
     }
 }

@@ -87,6 +87,7 @@
 pub mod event;
 pub mod export;
 pub mod fault;
+mod kernel;
 pub mod metrics;
 pub mod net;
 pub mod obs;
@@ -95,7 +96,7 @@ pub mod rng;
 pub mod scratch;
 pub mod topology;
 
-pub use event::{Engine, EventQueue, Link, LinkPlan};
+pub use event::{Engine, EventQueue, LinkPlan};
 pub use export::{ErrorCode, Frame, RunHeader, RunSummary, WireError};
 pub use fault::{
     Asymmetric, Bernoulli, Byzantine, Churn, Compose, Delay, FaultModel, IntoFaultModel, Partition,

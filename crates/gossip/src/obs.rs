@@ -241,23 +241,16 @@ impl Phase {
 pub enum Counter {
     /// Events popped off the event engine's heap.
     EventPops,
-    /// Pushed messages that paid a finite-rate serialization stall
-    /// ([`Link::serialization_ticks`](crate::event::Link::serialization_ticks) > 0).
-    SerializationStalls,
     /// Scratch rows refilled by the V2 batch sweeps.
     RefillRows,
 }
 
 impl Counter {
     /// Number of counters (the counter array's fixed size).
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 2;
 
     /// Every counter, in index order.
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::EventPops,
-        Counter::SerializationStalls,
-        Counter::RefillRows,
-    ];
+    pub const ALL: [Counter; Counter::COUNT] = [Counter::EventPops, Counter::RefillRows];
 
     /// The counter's array index.
     #[inline]
@@ -269,7 +262,6 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::EventPops => "event_pops",
-            Counter::SerializationStalls => "serialization_stalls",
             Counter::RefillRows => "refill_rows",
         }
     }

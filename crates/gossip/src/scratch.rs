@@ -3,12 +3,13 @@
 //! [`Network::round`](crate::Network::round) used to rebuild every
 //! per-node buffer (queries, responses, inboxes, push lists, the
 //! offline scan) from scratch each round — `O(n)` heap allocations per
-//! round even when nothing happened. `RoundScratch` owns all of them
-//! for the lifetime of the network: each round `clear()`s and refills
-//! in place, so steady-state simulation performs **zero heap
-//! allocations** under the [`Perfect`](crate::fault::Perfect) fault
-//! model (verified by the `alloc_steady_state` integration test and
-//! the `round_engine` micro-benchmark).
+//! round even when nothing happened. `RoundScratch` (plus the network's
+//! offline bitset) owns all of them for the lifetime of the network:
+//! each round `clear()`s and refills in place, so steady-state
+//! simulation performs **zero heap allocations** under the
+//! [`Perfect`](crate::fault::Perfect) fault model (verified by the
+//! `alloc_steady_state` integration test and the `round_engine`
+//! micro-benchmark).
 //!
 //! Buffer reuse cannot perturb results: every RNG stream is derived
 //! from `(seed, round, node, phase)` alone (see [`crate::rng`]), and
@@ -17,34 +18,8 @@
 //! rebuild-everything engine. The pinned pre-fault trajectories in the
 //! workspace's `tests/faults.rs` enforce this.
 
-use crate::obs::{Counter, Phase, Recorder};
+use crate::kernel::RoundAcc;
 use crate::protocol::{Protocol, Response};
-use crate::rng::{BatchedSampler, BatchedUniform};
-use crate::topology::Adjacency;
-
-/// Per-node phase-2 accounting, filled by the serve pass so the engine
-/// never re-walks the response rows to count work: `served`/`words`
-/// count responses *sent* (the paper's accounting — a response later
-/// lost in transit still cost the server work and bandwidth), while
-/// `dropped` itemizes the in-transit losses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Pull requests served with a message (including later-lost ones).
-    pub served: u64,
-    /// Words of all served responses (including later-lost ones).
-    pub words: u64,
-    /// Served responses the fault model lost in transit (including
-    /// corrupted ones the puller discarded, itemized under
-    /// [`ServeStats::byzantine`]).
-    pub dropped: u64,
-    /// Pull requests severed by a link-level fault
-    /// ([`FaultModel::cuts_pull`](crate::fault::FaultModel::cuts_pull))
-    /// before reaching their target — never served, no work done.
-    pub cut: u64,
-    /// Served responses the puller received but discarded as corrupted
-    /// ([`FaultModel::corrupts_response`](crate::fault::FaultModel::corrupts_response)).
-    pub byzantine: u64,
-}
 
 /// A fixed-capacity bitset over `0..len`, reused across rounds for the
 /// per-node offline scan (one bit per node instead of one `bool` byte,
@@ -115,35 +90,28 @@ impl BitSet {
 /// to sequential stepping.
 #[derive(Debug)]
 pub(crate) struct RoundScratch<P: Protocol> {
-    /// Phase 0: which nodes the fault model took offline this round.
-    pub offline: BitSet,
     /// Phase 1 output: node `i`'s pull requests.
     pub queries: Vec<Vec<P::Query>>,
     /// Phase 2 output: node `i`'s pull responses, index-aligned with
     /// `queries[i]` (`None` = failed pull).
     pub responses: Vec<Vec<Option<Response<P::Msg>>>>,
-    /// Phase 2 accounting for node `i`'s pulls (filled during serving,
-    /// so no extra pass over the response rows is needed).
-    pub serve_stats: Vec<ServeStats>,
+    /// Round engine: node `i`'s pull and serve accounting, folded into
+    /// the round's total once the serve sweep ends (so the parallel
+    /// path writes only its own rows).
+    pub accs: Vec<RoundAcc>,
     /// `queries[i].len()`, recorded as the queries are emitted.
     pub pull_counts: Vec<u64>,
-    /// Under [`RngSchedule::V2Batched`](crate::rng::RngSchedule): node
-    /// `i`'s pull targets, index-aligned with `queries[i]`, filled in
-    /// one batched sweep between phases 1 and 2 (unused — left empty —
-    /// under `V1Compat`, whose targets come from per-node streams).
-    /// Always resolved node ids: non-complete topologies draw
-    /// neighbor-list indices and map them through the adjacency arena
-    /// during the sweep.
+    /// Node `i`'s pull targets, index-aligned with `queries[i]`, drawn
+    /// between phases 1 and 2. Always resolved node ids: overlays draw
+    /// neighbor-list indices and map them through the adjacency arena.
     pub pull_targets: Vec<Vec<u32>>,
     /// Phase 3 output: node `i`'s emitted pushes (drained into inboxes
     /// or the delay queue during delivery).
     pub pushes: Vec<Vec<P::Msg>>,
     /// Phase 3 output: whether node `i` halted in `compute`.
     pub compute_halts: Vec<bool>,
-    /// Under [`RngSchedule::V2Batched`](crate::rng::RngSchedule): node
-    /// `i`'s push destinations, index-aligned with `pushes[i]`, filled
-    /// in one batched sweep between phases 3 and 4 (unused under
-    /// `V1Compat`).
+    /// Node `i`'s push destinations, index-aligned with `pushes[i]`,
+    /// drawn between phases 3 and 4.
     pub push_dests: Vec<Vec<u32>>,
     /// Phase 4 input: messages delivered to node `i` this round.
     pub inboxes: Vec<Vec<P::Msg>>,
@@ -151,77 +119,13 @@ pub(crate) struct RoundScratch<P: Protocol> {
     pub absorb_halts: Vec<bool>,
 }
 
-/// Selects the key schedule one refill sweep consumes: the run seed
-/// plus the (round, phase) pair that domain-separates this sweep's
-/// keystream from every other draw in the run.
-#[derive(Clone, Copy)]
-pub(crate) struct RefillKeys {
-    /// The run seed.
-    pub seed: u64,
-    /// The round whose destinations are being refilled.
-    pub round: u64,
-    /// Phase tag (`phase::PULL_TARGET` or `phase::PUSH_DEST`).
-    pub phase: u64,
-}
-
-/// One V2 batched refill sweep: fills destination `rows` (pull targets
-/// or push destinations) from a single per-round key schedule, consumed
-/// in row order — `rows[i]` gets `counts[i]` draws. Under a
-/// non-complete topology each draw is a neighbor-list index resolved
-/// through the CSR arena, so rows always hold final node ids.
-///
-/// The sweep is recorded as a [`Phase::Refill`] span (with
-/// [`Counter::RefillRows`] counting the draws); recording only reads
-/// values the sweep computed anyway, so an attached recorder cannot
-/// perturb the keystream or the rows.
-pub(crate) fn refill_dest_rows(
-    rows: &mut [Vec<u32>],
-    counts: &mut dyn Iterator<Item = usize>,
-    keys: RefillKeys,
-    n: usize,
-    adj: Option<&Adjacency>,
-    rec: &mut dyn Recorder,
-) {
-    let RefillKeys { seed, round, phase } = keys;
-    rec.span_start(Phase::Refill);
-    let mut drawn: u64 = 0;
-    match adj {
-        None => {
-            let mut sampler = BatchedUniform::new(seed, round, phase, n);
-            for row in rows.iter_mut() {
-                let count = counts.next().unwrap_or(0);
-                row.clear();
-                for _ in 0..count {
-                    row.push(sampler.next_index() as u32);
-                }
-                drawn += count as u64;
-            }
-        }
-        Some(a) => {
-            let mut sampler = BatchedSampler::new(seed, round, phase);
-            for (i, row) in rows.iter_mut().enumerate() {
-                let count = counts.next().unwrap_or(0);
-                row.clear();
-                let nbrs = a.row(i);
-                for _ in 0..count {
-                    row.push(nbrs[sampler.next_in(nbrs.len())]);
-                }
-                drawn += count as u64;
-            }
-        }
-    }
-    rec.add(Counter::RefillRows, drawn);
-    rec.span_end(Phase::Refill);
-}
-
 impl<P: Protocol> RoundScratch<P> {
     /// Scratch for an `n`-node network, with every buffer empty.
     pub fn new(n: usize) -> Self {
         RoundScratch {
-            offline: BitSet::with_len(n),
             queries: (0..n).map(|_| Vec::new()).collect(),
             responses: (0..n).map(|_| Vec::new()).collect(),
-            serve_stats: vec![ServeStats::default(); n],
+            accs: vec![RoundAcc::default(); n],
             pull_counts: vec![0; n],
             pull_targets: (0..n).map(|_| Vec::new()).collect(),
             pushes: (0..n).map(|_| Vec::new()).collect(),

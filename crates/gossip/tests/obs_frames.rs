@@ -61,7 +61,6 @@ fn golden_trace() -> ObsSummary {
         obs.phase_max_nanos[phase.index()] = (i as u64 + 1) * 250_000;
     }
     obs.counters[Counter::EventPops.index()] = 512;
-    obs.counters[Counter::SerializationStalls.index()] = 3;
     obs.counters[Counter::RefillRows.index()] = 96;
     obs.gauges[Gauge::HeapDepth.index()] = 41;
     obs.gauges[Gauge::PopsPerTick.index()] = 8;
