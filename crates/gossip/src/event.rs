@@ -514,9 +514,11 @@ impl<P: Protocol> EventCore<P> {
     }
 
     /// Executes every event of tick `k.now` (see
-    /// [`EventCore::begin_tick`]), then schedules the next round starts.
-    pub(crate) fn tick(&mut self, k: &Kernel<'_, P>, mut rows: Rows<'_, P>, acc: &mut RoundAcc) {
+    /// [`EventCore::begin_tick`]), then schedules the next round starts;
+    /// returns the tick's accounting.
+    pub(crate) fn tick(&mut self, k: &Kernel<'_, P>, mut rows: Rows<'_, P>) -> RoundAcc {
         let tick = k.now;
+        let mut acc = RoundAcc::default();
         // Heap depth is sampled at tick start (its per-run high water is
         // the queue's memory footprint); the pop count below is both a
         // running total and a per-tick high-water gauge.
@@ -527,7 +529,7 @@ impl<P: Protocol> EventCore<P> {
         while self.queue.peek_time().is_some_and(|t| tick_of(t) == tick) {
             let (_, ev) = self.queue.pop().expect("peeked event");
             pops += 1;
-            self.dispatch(k, ev, &mut rows, acc);
+            self.dispatch(k, ev, &mut rows, &mut acc);
         }
         rows.recorder.add(Counter::EventPops, pops);
         rows.recorder.high_water(Gauge::PopsPerTick, pops);
@@ -554,6 +556,15 @@ impl<P: Protocol> EventCore<P> {
         self.pull_batches.retain(|&r, _| r >= min_live_round);
         self.push_batches.retain(|&r, _| r >= min_live_round);
         rows.recorder.span_end(Phase::Tick);
+        acc
+    }
+
+    /// Node `i` at its current local round.
+    fn at(&self, i: usize) -> At {
+        At {
+            node: i,
+            round: self.local_round[i],
+        }
     }
 
     /// A node's round ends without halting: its next round starts at
@@ -585,10 +596,7 @@ impl<P: Protocol> EventCore<P> {
                     self.next_round(i);
                     return;
                 }
-                let at = At {
-                    node: i,
-                    round: self.local_round[i],
-                };
+                let at = self.at(i);
                 let count = k.pull_node(at, false, &rows.states[i], &mut s.queries[i], acc);
                 s.pull_counts[i] = count;
                 s.responses[i].clear();
@@ -666,10 +674,7 @@ impl<P: Protocol> EventCore<P> {
 
             Event::Compute { node } => {
                 let i = node as usize;
-                let at = At {
-                    node: i,
-                    round: self.local_round[i],
-                };
+                let at = self.at(i);
                 // Offline here only under heterogeneous latency (under
                 // unit links compute shares the start-round tick): the
                 // kernel then skips the step.
@@ -733,10 +738,7 @@ impl<P: Protocol> EventCore<P> {
 
             Event::Absorb { node } => {
                 let i = node as usize;
-                let at = At {
-                    node: i,
-                    round: self.local_round[i],
-                };
+                let at = self.at(i);
                 let absorbed_halt =
                     k.absorb_node(at, false, &mut rows.states[i], &mut s.inboxes[i]);
                 self.serve_rng[i] = None;

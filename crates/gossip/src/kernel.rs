@@ -29,21 +29,6 @@ use crate::NodeId;
 use rand::Rng;
 use rayon::prelude::*;
 
-/// Runs `$f` over every node's disjoint rows, with rayon when `$par`:
-/// `$f` receives `(i, rows)` where `rows` zips the listed row vectors
-/// left to right (`((a, b), c)` for three). Each node touches only its
-/// own `&mut` rows, so both paths produce the same bytes.
-macro_rules! sweep {
-    ($par:expr, $f:expr; $first:expr $(, $rest:expr)*) => {
-        if $par {
-            $first.par_iter_mut()$(.zip($rest.par_iter_mut()))*.enumerate().for_each($f)
-        } else {
-            $first.iter_mut()$(.zip($rest.iter_mut()))*.enumerate().for_each($f)
-        }
-    };
-}
-pub(crate) use sweep;
-
 /// Node `node` at its own round `round`: the coordinates its RNG
 /// streams are keyed by.
 #[derive(Clone, Copy)]
@@ -132,14 +117,11 @@ pub(crate) fn scan_offline(
         }
         *word = bits;
     };
+    let words = offline.words_mut();
     if par {
-        offline
-            .words_mut()
-            .par_iter_mut()
-            .enumerate()
-            .for_each(fill);
+        words.par_iter_mut().enumerate().for_each(fill);
     } else {
-        offline.words_mut().iter_mut().enumerate().for_each(fill);
+        words.iter_mut().enumerate().for_each(fill);
     }
 }
 
@@ -234,9 +216,11 @@ impl<P: Protocol> Kernel<'_, P> {
         let nbrs = self.adj.map(|a| a.row(at.node));
         if self.schedule == RngSchedule::V1Compat {
             let mut rng = derive_rng(seed, round, at.node as u64, phase);
-            match nbrs {
-                None => row.extend((0..count).map(|_| rng.gen_range(0..n) as u32)),
-                Some(nbrs) => row.extend((0..count).map(|_| nbrs[rng.gen_range(0..nbrs.len())])),
+            for _ in 0..count {
+                row.push(match nbrs {
+                    None => rng.gen_range(0..n) as u32,
+                    Some(nbrs) => nbrs[rng.gen_range(0..nbrs.len())],
+                });
             }
             return;
         }
@@ -244,12 +228,12 @@ impl<P: Protocol> Kernel<'_, P> {
             None => Batch::Uniform(BatchedUniform::new(seed, round, phase, n)),
             Some(_) => Batch::Overlay(BatchedSampler::new(seed, round, phase)),
         });
-        match (batch, nbrs) {
-            (Batch::Uniform(s), _) => row.extend((0..count).map(|_| s.next_index() as u32)),
-            (Batch::Overlay(s), Some(nbrs)) => {
-                row.extend((0..count).map(|_| nbrs[s.next_in(nbrs.len())]));
-            }
-            (Batch::Overlay(_), None) => unreachable!("overlay batches draw through a row"),
+        for _ in 0..count {
+            row.push(match (&mut *batch, nbrs) {
+                (Batch::Uniform(s), _) => s.next_index() as u32,
+                (Batch::Overlay(s), Some(nbrs)) => nbrs[s.next_in(nbrs.len())],
+                (Batch::Overlay(_), None) => unreachable!("overlay batches draw through a row"),
+            });
         }
     }
 
@@ -364,8 +348,8 @@ impl<P: Protocol> Kernel<'_, P> {
         late: bool,
         acc: &mut RoundAcc,
     ) -> bool {
-        let lost = self.offline.get(dest)
-            || (late && !self.perfect && self.fault.crashed(self.seed, self.now, sender));
+        let lost = !self.perfect
+            && (self.offline.get(dest) || late && self.fault.crashed(self.seed, self.now, sender));
         acc.dropped += u64::from(lost);
         lost
     }

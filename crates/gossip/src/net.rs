@@ -11,10 +11,10 @@
 
 use crate::event::{Engine, EventCore};
 use crate::fault::{FaultModel, IntoFaultModel, Perfect};
-use crate::kernel::{self, sweep, At, Kernel, Pull, RoundAcc, Rows};
+use crate::kernel::{self, At, Kernel, Pull, RoundAcc, Rows};
 use crate::metrics::{Metrics, RoundMetrics};
 use crate::obs::{Counter, NoopRecorder, Phase, Recorder};
-use crate::protocol::Protocol;
+use crate::protocol::{Protocol, Response};
 use crate::rng::{phase, PhaseRng, RngSchedule};
 use crate::scratch::{BitSet, RoundScratch};
 use crate::topology::{Adjacency, Complete, IntoTopology, Topology};
@@ -22,6 +22,40 @@ use crate::NodeId;
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Runs `$f` over every node's disjoint rows, with rayon when `$par`:
+/// `$f` receives `(i, rows)` where `rows` zips the listed row vectors
+/// left to right (`((a, b), c)` for three). Each node touches only its
+/// own `&mut` rows, so both paths produce the same bytes.
+macro_rules! sweep {
+    ($par:expr, $f:expr; $first:expr $(, $rest:expr)*) => {
+        if $par {
+            $first.par_iter_mut()$(.zip($rest.par_iter_mut()))*.enumerate().for_each($f)
+        } else {
+            $first.iter_mut()$(.zip($rest.iter_mut()))*.enumerate().for_each($f)
+        }
+    };
+}
+
+/// [`sweep!`] for a phase that books into a [`RoundAcc`]: `$f` receives
+/// `(i, rows, acc)`. Sequential sweeps book straight into `$acc`;
+/// parallel ones into node `i`'s own row of `$accs`, which the caller
+/// then drains into `$acc` (every field is a sum or a maximum, so the
+/// fold order cannot matter).
+macro_rules! sweep_acc {
+    ($par:expr, $acc:expr, $accs:expr, $f:expr; $first:expr $(, $rest:expr)*) => {{
+        let f = $f;
+        if $par {
+            $first.par_iter_mut()$(.zip($rest.par_iter_mut()))*.zip($accs.par_iter_mut())
+                .enumerate()
+                .for_each(|(i, (rows, a))| f(i, rows, a))
+        } else {
+            $first.iter_mut()$(.zip($rest.iter_mut()))*
+                .enumerate()
+                .for_each(|(i, rows)| f(i, rows, &mut $acc))
+        }
+    }};
+}
 
 /// Simulator configuration.
 #[derive(Clone, Debug)]
@@ -206,7 +240,10 @@ impl<P: Protocol> Network<P> {
             "a topology must build an arena iff it is not complete"
         );
         let core = match &cfg.engine {
-            Engine::RoundSync => Core::Rounds(RoundCore::default()),
+            Engine::RoundSync => Core::Rounds(RoundCore {
+                pending: VecDeque::new(),
+                pool: Vec::new(),
+            }),
             Engine::EventDriven(plan) => Core::Events(EventCore::new(n, plan.clone())),
         };
         Network {
@@ -367,11 +404,10 @@ impl<P: Protocol> Network<P> {
             scratch: &mut self.scratch,
             recorder: &mut *self.recorder,
         };
-        let mut acc = RoundAcc::default();
-        match &mut self.core {
-            Core::Rounds(core) => core.round(&k, par, rows, &mut acc),
-            Core::Events(core) => core.tick(&k, rows, &mut acc),
-        }
+        let acc = match &mut self.core {
+            Core::Rounds(core) => core.round(&k, par, rows),
+            Core::Events(core) => core.tick(&k, rows),
+        };
         let rm = k.close(
             acc,
             &self.states,
@@ -424,15 +460,6 @@ struct RoundCore<M> {
     pool: Vec<Vec<(usize, NodeId, M)>>,
 }
 
-impl<M> Default for RoundCore<M> {
-    fn default() -> Self {
-        RoundCore {
-            pending: VecDeque::new(),
-            pool: Vec::new(),
-        }
-    }
-}
-
 impl<M: Send + Sync> RoundCore<M> {
     fn in_flight(&self) -> usize {
         self.pending.iter().map(Vec::len).sum()
@@ -445,8 +472,8 @@ impl<M: Send + Sync> RoundCore<M> {
         k: &Kernel<'_, P>,
         par: bool,
         rows: Rows<'_, P>,
-        acc: &mut RoundAcc,
-    ) {
+    ) -> RoundAcc {
+        let mut acc = RoundAcc::default();
         let Rows {
             states,
             halted,
@@ -468,14 +495,14 @@ impl<M: Send + Sync> RoundCore<M> {
         let round = k.now;
         let at = |node| At { node, round };
 
-        // Phase 1: pull requests (each node's accumulator restarts here).
+        // Phase 1: pull requests.
         rec.span_start(Phase::Pull);
         {
             let (states, halted) = (&*states, &*halted);
-            sweep!(par, |(i, ((out, count), a))| {
-                *a = RoundAcc::default();
+            let pull = |i: usize, (out, count): (&mut Vec<_>, &mut u64), a: &mut RoundAcc| {
                 *count = k.pull_node(at(i), halted[i], &states[i], out, a);
-            }; queries, pull_counts, accs);
+            };
+            sweep_acc!(par, acc, accs, pull; queries, pull_counts);
         }
         rec.span_end(Phase::Pull);
         fill_dests(
@@ -491,16 +518,23 @@ impl<M: Send + Sync> RoundCore<M> {
         rec.span_start(Phase::Serve);
         {
             let (states, queries, pull_targets) = (&*states, &*queries, &*pull_targets);
-            sweep!(par, |(i, (rs, a))| {
+            let serve = |i: usize, rs: &mut Vec<Option<Response<M>>>, a: &mut RoundAcc| {
                 rs.clear();
                 let mut rng = PhaseRng::new(k.seed, round, i as u64, phase::SERVE);
                 for (q, (query, &target)) in queries[i].iter().zip(&pull_targets[i]).enumerate() {
-                    let pull = Pull { puller: i, k: q, target: target as usize };
+                    let pull = Pull {
+                        puller: i,
+                        k: q,
+                        target: target as usize,
+                    };
                     rs.push(k.serve_pull(states, pull, query, &mut rng, a));
                 }
-            }; responses, accs);
+            };
+            sweep_acc!(par, acc, accs, serve; responses);
         }
-        accs.iter().for_each(|a| acc.merge(a));
+        if par {
+            accs.iter_mut().for_each(|a| acc.merge(&std::mem::take(a)));
+        }
         rec.span_end(Phase::Serve);
 
         // Phase 3: compute + emit pushes.
@@ -528,7 +562,7 @@ impl<M: Send + Sync> RoundCore<M> {
         rec.span_start(Phase::Deliver);
         if let Some(mut due) = self.pending.pop_front() {
             for (dest, sender, msg) in due.drain(..) {
-                if !k.lost_on_arrival(dest, sender, true, acc) {
+                if !k.lost_on_arrival(dest, sender, true, &mut acc) {
                     inboxes[dest].push(msg);
                 }
             }
@@ -538,11 +572,11 @@ impl<M: Send + Sync> RoundCore<M> {
             acc.work(pull_counts[i], out.len());
             for (q, (msg, &dest)) in out.drain(..).zip(&push_dests[i]).enumerate() {
                 let dest = dest as usize;
-                let Some(delay) = k.push_fate(i, q, dest, &msg, acc) else {
+                let Some(delay) = k.push_fate(i, q, dest, &msg, &mut acc) else {
                     continue;
                 };
                 if delay == 0 {
-                    if !k.lost_on_arrival(dest, i as NodeId, false, acc) {
+                    if !k.lost_on_arrival(dest, i as NodeId, false, &mut acc) {
                         inboxes[dest].push(msg);
                     }
                     continue;
@@ -568,6 +602,7 @@ impl<M: Send + Sync> RoundCore<M> {
         for (i, h) in halted.iter_mut().enumerate() {
             *h |= compute_halts[i] || absorb_halts[i];
         }
+        acc
     }
 }
 

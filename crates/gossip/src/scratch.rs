@@ -95,9 +95,9 @@ pub(crate) struct RoundScratch<P: Protocol> {
     /// Phase 2 output: node `i`'s pull responses, index-aligned with
     /// `queries[i]` (`None` = failed pull).
     pub responses: Vec<Vec<Option<Response<P::Msg>>>>,
-    /// Round engine: node `i`'s pull and serve accounting, folded into
-    /// the round's total once the serve sweep ends (so the parallel
-    /// path writes only its own rows).
+    /// Parallel round engine: node `i`'s pull and serve accounting,
+    /// drained into the round's total once the serve sweep ends (so each
+    /// thread writes only its own rows).
     pub accs: Vec<RoundAcc>,
     /// `queries[i].len()`, recorded as the queries are emitted.
     pub pull_counts: Vec<u64>,
