@@ -1,6 +1,6 @@
 //! Discrete-event asynchronous scheduler with typed links.
 //!
-//! One phase kernel ([`crate::kernel`]), two schedulers. The round
+//! One phase kernel (`kernel.rs`), two schedulers. The round
 //! engine in [`crate::net`] sweeps every phase over all nodes in
 //! lockstep: one round = one iteration of the paper's repeat loop, with
 //! a fixed one-round message latency. Real gossip deployments are not

@@ -2,7 +2,7 @@
 //!
 //! A [`Network`] owns the node states and per-round buffers and steps
 //! them with one of two schedulers over one phase kernel
-//! ([`crate::kernel`]): the round engine here sweeps each phase over
+//! (`kernel.rs`): the round engine here sweeps each phase over
 //! all nodes (sequentially or with rayon over disjoint per-node rows)
 //! and keeps the delay queue; the event engine ([`crate::event`])
 //! replays the same per-node steps as heap events. Both share the
