@@ -494,6 +494,9 @@ impl<M: Send + Sync> RoundCore<M> {
         } = scratch;
         let round = k.now;
         let at = |node| At { node, round };
+        if par {
+            accs.resize(states.len(), RoundAcc::default());
+        }
 
         // Phase 1: pull requests.
         rec.span_start(Phase::Pull);

@@ -97,7 +97,8 @@ pub(crate) struct RoundScratch<P: Protocol> {
     pub responses: Vec<Vec<Option<Response<P::Msg>>>>,
     /// Parallel round engine: node `i`'s pull and serve accounting,
     /// drained into the round's total once the serve sweep ends (so each
-    /// thread writes only its own rows).
+    /// thread writes only its own rows). Sized on the first parallel
+    /// round; sequential networks never allocate it.
     pub accs: Vec<RoundAcc>,
     /// `queries[i].len()`, recorded as the queries are emitted.
     pub pull_counts: Vec<u64>,
@@ -125,7 +126,7 @@ impl<P: Protocol> RoundScratch<P> {
         RoundScratch {
             queries: (0..n).map(|_| Vec::new()).collect(),
             responses: (0..n).map(|_| Vec::new()).collect(),
-            accs: vec![RoundAcc::default(); n],
+            accs: Vec::new(),
             pull_counts: vec![0; n],
             pull_targets: (0..n).map(|_| Vec::new()).collect(),
             pushes: (0..n).map(|_| Vec::new()).collect(),
