@@ -2153,6 +2153,105 @@ mod tests {
         assert_eq!(err, DriverError::Cancelled);
     }
 
+    /// Behaves like [`Perfect`] but raises its flag from the `offline`
+    /// hook once round 2 is scanned: a mid-run cancel trigger that
+    /// works under every stop condition, not just `Custom`.
+    #[derive(Debug)]
+    struct RaiseAtRound2(Arc<AtomicBool>);
+
+    impl FaultModel for RaiseAtRound2 {
+        fn name(&self) -> &'static str {
+            "raise-at-round-2"
+        }
+
+        fn offline(&self, _seed: u64, round: u64, _node: gossip_sim::NodeId) -> bool {
+            if round >= 2 {
+                self.0.store(true, Ordering::Relaxed);
+            }
+            false
+        }
+    }
+
+    /// Runs `driver` under each stop condition twice with the round-2
+    /// trigger: without the flag installed the stop fires with its own
+    /// cause (after round 3), and with it the run is cancelled instead.
+    fn check_stops_and_cancel<M, P: DriverProblem<M> + Clone>(
+        driver: Driver<P, M>,
+        elements: &[P::Element],
+        stops: [(StopCondition<P::Target>, StopCause); 4],
+    ) where
+        P::Target: fmt::Debug,
+    {
+        for (stop, cause) in stops {
+            let label = format!("{:?} under {:?}", driver.algorithm, stop);
+            let run = |cancel: bool| {
+                let flag = Arc::new(AtomicBool::new(false));
+                let d = driver
+                    .clone()
+                    .stop(stop.clone())
+                    .fault_model(RaiseAtRound2(flag.clone()));
+                if cancel {
+                    d.cancel_flag(flag).run(elements)
+                } else {
+                    d.run(elements)
+                }
+            };
+            let report = run(false).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(report.stop_cause, cause, "{label}");
+            assert!(report.rounds > 3, "{label}: stopped before the trigger");
+            assert_eq!(run(true).err(), Some(DriverError::Cancelled), "{label}");
+        }
+    }
+
+    #[test]
+    fn every_stop_condition_reports_its_cause_and_honours_mid_run_cancel() {
+        fn custom<T>() -> StopCondition<T> {
+            StopCondition::Custom(Arc::new(|p: &Progress| p.round >= 6))
+        }
+        // Four points per node, so Low-Load's first solution lands
+        // after the trigger rather than in round 2.
+        let points = triple_disk(512, 4);
+        let target = lpt::LpType::basis_of(&Med, &points).value;
+        for algorithm in [Algorithm::low_load(), Algorithm::high_load()] {
+            check_stops_and_cancel(
+                Driver::new(Med).nodes(128).seed(4).algorithm(algorithm),
+                &points,
+                [
+                    (StopCondition::FullTermination, StopCause::AllHalted),
+                    (
+                        StopCondition::FirstSolution(target),
+                        StopCause::TargetReached,
+                    ),
+                    (StopCondition::RoundBudget(6), StopCause::RoundBudget),
+                    (custom(), StopCause::CustomStop),
+                ],
+            );
+        }
+        // A six-element sample finds its first hitting set in round 4;
+        // the default sample covers the whole instance in round 1.
+        let (sys, _) = planted_hitting_set(128, 32, 3, 6, 4);
+        let sys = Arc::new(sys);
+        let mut cfg = HittingSetConfig::new(3);
+        cfg.sample_size = Some(6);
+        check_stops_and_cancel(
+            Driver::new(sys.clone())
+                .nodes(128)
+                .seed(4)
+                .algorithm(Algorithm::HittingSet(cfg)),
+            &sys.ground_elements()
+                .expect("set systems have a ground set"),
+            [
+                (StopCondition::FullTermination, StopCause::AllHalted),
+                (
+                    StopCondition::FirstSolution(usize::MAX),
+                    StopCause::TargetReached,
+                ),
+                (StopCondition::RoundBudget(6), StopCause::RoundBudget),
+                (custom(), StopCause::CustomStop),
+            ],
+        );
+    }
+
     #[test]
     fn budget_exhausted_runs_stamp_rounds_over_budget() {
         let points = duo_disk(256, 9);
