@@ -24,30 +24,32 @@
 //! ```
 //!
 //! Selecting an algorithm is one builder call
-//! ([`Driver::algorithm`]); the instance scattering, network
-//! construction, stop handling, and report assembly are shared. The
-//! algorithm × problem compatibility matrix is enforced at run time
-//! with a documented [`DriverError`]: LP-type problems accept
+//! ([`Driver::algorithm`]). Every gossip protocol — Low-Load,
+//! High-Load (plain or accelerated) and hitting set — then runs through
+//! one runner: it scatters the instance, builds the network from the
+//! driver's [`NetworkConfig`], drives it under the stop condition, and
+//! assembles the report. Only the analytic hypercube baseline, which
+//! steps no network, builds its report on its own. The algorithm ×
+//! problem compatibility matrix is enforced at run time with a
+//! documented [`DriverError`]: LP-type problems accept
 //! [`Algorithm::LowLoad`], [`Algorithm::HighLoad`],
 //! [`Algorithm::Accelerated`], and [`Algorithm::Hypercube`]; set-system
 //! problems (`Arc<SetSystem>`) accept [`Algorithm::HittingSet`].
 //!
-//! The two problem families are unified by the [`DriverProblem`] trait,
-//! which is the seam where future backends (sharded networks, async
-//! transports, new problem classes) plug in. A *mode* marker type
-//! ([`LpMode`] / [`SetMode`]) keeps the blanket implementation for all
-//! [`LpType`] problems coherent with the set-system implementation;
-//! callers never name the mode — type inference resolves it from the
-//! problem type.
+//! The two problem families are unified by the [`DriverProblem`] trait.
+//! A *mode* marker type ([`LpMode`] / [`SetMode`]) keeps the blanket
+//! implementation for all [`LpType`] problems coherent with the
+//! set-system implementation; callers never name the mode — type
+//! inference resolves it from the problem type.
 
 use crate::high_load::{HighLoadClarkson, HighLoadConfig, HighLoadState};
 use crate::hitting_set::{HittingSetConfig, HittingSetGossip, HittingSetState};
 use crate::hypercube::hypercube_clarkson;
 use crate::low_load::{LowLoadClarkson, LowLoadConfig, LowLoadState};
 use gossip_sim::event::Engine;
-use gossip_sim::fault::{FaultModel, IntoFaultModel, Perfect};
+use gossip_sim::fault::{FaultModel, IntoFaultModel};
 use gossip_sim::obs::{FlightRecorder, ObsSummary};
-use gossip_sim::topology::{Complete, IntoTopology, Topology};
+use gossip_sim::topology::IntoTopology;
 use gossip_sim::{Metrics, Network, NetworkConfig, Protocol, RngSchedule, RunOutcome};
 use lpt::{BasisOf, LpType};
 use lpt_problems::SetSystem;
@@ -467,8 +469,8 @@ pub struct DoublingReport {
 }
 
 /// What the fault model cost a run (all zeros under the default
-/// [`Perfect`] network); the per-round breakdown is in
-/// [`RunReport::metrics`].
+/// [`Perfect`](gossip_sim::fault::Perfect) network); the per-round
+/// breakdown is in [`RunReport::metrics`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Name of the fault model the run was simulated under.
@@ -566,8 +568,9 @@ pub struct RunReport<O> {
     /// Doubling-search trace, when [`Driver::with_doubling_search`] was
     /// used.
     pub doubling: Option<DoublingReport>,
-    /// What the fault model cost the run (zeros under [`Perfect`]; for
-    /// a doubling search, the successful attempt's costs).
+    /// What the fault model cost the run (zeros under
+    /// [`Perfect`](gossip_sim::fault::Perfect); for a doubling search,
+    /// the successful attempt's costs).
     pub faults: FaultSummary,
     /// Communication metrics, one entry per simulated round (empty for
     /// the analytic hypercube baseline).
@@ -648,55 +651,14 @@ pub struct LpMode;
 #[derive(Clone, Copy, Debug)]
 pub struct SetMode;
 
-/// Everything a [`Driver`] needs from a run, mode-independent.
-#[derive(Clone, Copy)]
-pub struct RunSpec<'a, T> {
-    /// Network size.
-    pub n: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// The selected algorithm.
-    pub algorithm: &'a Algorithm,
-    /// The stop condition.
-    pub stop: &'a StopCondition<T>,
-    /// Safety valve on simulated rounds.
-    pub max_rounds: u64,
-    /// Step nodes in parallel when the simulator supports it.
-    pub parallel: bool,
-    /// Minimum network size for parallel stepping (`None` = simulator
-    /// default).
-    pub parallel_threshold: Option<usize>,
-    /// Doubling-search budget factor, if enabled.
-    pub doubling: Option<f64>,
-    /// The fault model the network is simulated under.
-    pub fault: &'a Arc<dyn FaultModel>,
-    /// The versioned randomness schedule the network draws under.
-    pub schedule: RngSchedule,
-    /// The communication topology destinations are drawn from.
-    pub topology: &'a Arc<dyn Topology>,
-    /// The execution engine the network is stepped with (round-sync or
-    /// event-driven; see [`gossip_sim::event`]).
-    pub engine: &'a Engine,
-    /// Attach a [`FlightRecorder`] to the network and surface its
-    /// summary in [`RunReport::obs`]. Observational only: the recorder
-    /// reads values the engine computed anyway, so this flag cannot
-    /// change a trajectory (and is excluded from every cache key).
-    pub record_phases: bool,
-    /// Cooperative cancellation flag, checked between simulated rounds
-    /// (`None` = not cancellable). See [`Driver::cancel_flag`].
-    pub cancel: Option<&'a AtomicBool>,
-}
-
 /// A problem family the unified [`Driver`] can run.
 ///
 /// `M` is a mode marker ([`LpMode`] or [`SetMode`]) that exists only to
 /// keep the blanket implementation for all [`LpType`] problems coherent
 /// with the set-system implementation; exactly one implementation
 /// applies to any problem type, so inference always resolves `M`.
-///
-/// This trait is the extension seam of the crate: a sharded or async
-/// backend implements `execute` differently; a new problem family adds
-/// a mode.
+/// [`DriverProblem::execute`] reads the driver's private configuration,
+/// so the two implementations in this module are the only ones.
 pub trait DriverProblem<M>: Sized {
     /// The element type scattered over the network.
     type Element: Clone + Send + Sync;
@@ -727,10 +689,10 @@ pub trait DriverProblem<M>: Sized {
         None
     }
 
-    /// Runs the spec on the given elements.
+    /// Runs `driver`'s configured algorithm on the given elements
+    /// (called by [`Driver::run`] once the network size is checked).
     fn execute(
-        &self,
-        spec: &RunSpec<'_, Self::Target>,
+        driver: &Driver<Self, M>,
         elements: &[Self::Element],
     ) -> Result<RunReport<Self::Output>, DriverError>;
 }
@@ -745,19 +707,15 @@ pub trait DriverProblem<M>: Sized {
 pub struct Driver<P: DriverProblem<M>, M = LpMode> {
     problem: P,
     n: usize,
-    seed: u64,
     /// `None` until [`Driver::algorithm`] is called; resolved against
     /// the problem family's default at run time.
     algorithm: Option<Algorithm>,
     stop: StopCondition<P::Target>,
     max_rounds: u64,
-    parallel: bool,
-    parallel_threshold: Option<usize>,
     doubling: Option<f64>,
-    fault: Arc<dyn FaultModel>,
-    schedule: RngSchedule,
-    topology: Arc<dyn Topology>,
-    engine: Engine,
+    /// The simulated network's settings: seed, parallelism, fault
+    /// model, schedule, topology and engine.
+    net: NetworkConfig,
     record_phases: bool,
     cancel: Option<Arc<AtomicBool>>,
     _mode: PhantomData<fn() -> M>,
@@ -767,21 +725,11 @@ impl<M, P: DriverProblem<M> + Clone> Clone for Driver<P, M> {
     fn clone(&self) -> Self {
         Driver {
             problem: self.problem.clone(),
-            n: self.n,
-            seed: self.seed,
             algorithm: self.algorithm.clone(),
             stop: self.stop.clone(),
-            max_rounds: self.max_rounds,
-            parallel: self.parallel,
-            parallel_threshold: self.parallel_threshold,
-            doubling: self.doubling,
-            fault: self.fault.clone(),
-            schedule: self.schedule,
-            topology: self.topology.clone(),
-            engine: self.engine.clone(),
-            record_phases: self.record_phases,
+            net: self.net.clone(),
             cancel: self.cancel.clone(),
-            _mode: PhantomData,
+            ..*self
         }
     }
 }
@@ -791,16 +739,10 @@ impl<M, P: DriverProblem<M>> fmt::Debug for Driver<P, M> {
         f.debug_struct("Driver")
             .field("problem", &self.problem.problem_kind())
             .field("n", &self.n)
-            .field("seed", &self.seed)
             .field("algorithm", &self.algorithm)
             .field("max_rounds", &self.max_rounds)
-            .field("parallel", &self.parallel)
-            .field("parallel_threshold", &self.parallel_threshold)
             .field("doubling", &self.doubling)
-            .field("fault", &self.fault)
-            .field("schedule", &self.schedule)
-            .field("topology", &self.topology)
-            .field("engine", &self.engine)
+            .field("net", &self.net)
             .field("record_phases", &self.record_phases)
             .finish_non_exhaustive()
     }
@@ -817,17 +759,11 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
         Driver {
             problem,
             n: 1,
-            seed: 0,
             algorithm: None,
             stop: StopCondition::FullTermination,
             max_rounds: 20_000,
-            parallel: true,
-            parallel_threshold: None,
             doubling: None,
-            fault: Arc::new(Perfect),
-            schedule: RngSchedule::default(),
-            topology: Arc::new(Complete),
-            engine: Engine::default(),
+            net: NetworkConfig::with_seed(0),
             record_phases: false,
             cancel: None,
             _mode: PhantomData,
@@ -845,7 +781,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// (problem, elements, nodes, algorithm, stop, seed).
     #[must_use = "builder methods return the updated driver"]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.net.seed = seed;
         self
     }
 
@@ -874,7 +810,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// results are identical either way).
     #[must_use = "builder methods return the updated driver"]
     pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
+        self.net.parallel = parallel;
         self
     }
 
@@ -884,7 +820,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// overhead dominating small networks.
     #[must_use = "builder methods return the updated driver"]
     pub fn parallel_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_threshold = Some(threshold);
+        self.net.parallel_threshold = threshold;
         self
     }
 
@@ -897,7 +833,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// baseline ([`DriverError::UnsupportedFaults`]).
     #[must_use = "builder methods return the updated driver"]
     pub fn fault_model(mut self, fault: impl IntoFaultModel) -> Self {
-        self.fault = fault.into_fault_model();
+        self.net.fault = fault.into_fault_model();
         self
     }
 
@@ -914,7 +850,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// ([`DriverError::UnsupportedTopology`] otherwise).
     #[must_use = "builder methods return the updated driver"]
     pub fn topology(mut self, topology: impl IntoTopology) -> Self {
-        self.topology = topology.into_topology();
+        self.net.topology = topology.into_topology();
         self
     }
 
@@ -928,7 +864,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// which schedule produced a report.
     #[must_use = "builder methods return the updated driver"]
     pub fn rng_schedule(mut self, schedule: RngSchedule) -> Self {
-        self.schedule = schedule;
+        self.net.schedule = schedule;
         self
     }
 
@@ -961,7 +897,7 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
     /// ([`DriverError::UnsupportedEngine`]).
     #[must_use = "builder methods return the updated driver"]
     pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+        self.net.engine = engine;
         self
     }
 
@@ -1003,36 +939,23 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
 
     /// Runs the configured algorithm on `elements`.
     pub fn run(&self, elements: &[P::Element]) -> Result<RunReport<P::Output>, DriverError> {
-        let algorithm = match &self.algorithm {
-            Some(a) => a.clone(),
-            None => self.problem.default_algorithm(),
-        };
-        // Out of the box (no explicit algorithm or doubling choice),
-        // problem families may opt into the doubling search.
-        let doubling = self.doubling.or_else(|| {
-            if self.algorithm.is_none() {
-                self.problem.default_doubling()
-            } else {
-                None
-            }
-        });
-        let spec = RunSpec {
-            n: self.n,
-            seed: self.seed,
-            algorithm: &algorithm,
-            stop: &self.stop,
-            max_rounds: self.max_rounds,
-            parallel: self.parallel,
-            parallel_threshold: self.parallel_threshold,
-            doubling,
-            fault: &self.fault,
-            schedule: self.schedule,
-            topology: &self.topology,
-            engine: &self.engine,
-            record_phases: self.record_phases,
-            cancel: self.cancel.as_deref(),
-        };
-        self.problem.execute(&spec, elements)
+        if self.n == 0 {
+            return Err(DriverError::NoNodes);
+        }
+        P::execute(self, elements)
+    }
+
+    /// The algorithm and doubling factor a run uses. Out of the box (no
+    /// explicit algorithm), problem families pick their default
+    /// algorithm and may opt into the doubling search.
+    fn resolved(&self) -> (Algorithm, Option<f64>) {
+        match &self.algorithm {
+            Some(a) => (a.clone(), self.doubling),
+            None => (
+                self.problem.default_algorithm(),
+                self.doubling.or_else(|| self.problem.default_doubling()),
+            ),
+        }
     }
 
     /// Runs on the problem's intrinsic ground-element set (hitting set:
@@ -1051,39 +974,200 @@ impl<M, P: DriverProblem<M>> Driver<P, M> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared run-loop machinery
+// The one gossip runner
 // ---------------------------------------------------------------------------
 
-fn net_config<T>(spec: &RunSpec<'_, T>) -> NetworkConfig {
-    let mut cfg = NetworkConfig::with_seed(spec.seed);
-    cfg.parallel = spec.parallel;
-    if let Some(threshold) = spec.parallel_threshold {
-        cfg.parallel_threshold = threshold;
+/// What the gossip runner needs from a protocol besides stepping it:
+/// how a node starts and what its state holds. Everything that differs
+/// between Low-Load, High-Load and hitting set lives here.
+trait Gossip: Protocol {
+    type Element: Clone;
+    type Output: Clone;
+    type Target;
+
+    /// A node's initial state on its share of the scattered instance.
+    fn start(&self, share: Vec<Self::Element>) -> Self::State;
+
+    /// The node's output, once it halted.
+    fn output(s: &Self::State) -> Option<&Self::Output>;
+
+    /// The candidate solution the node holds (see
+    /// [`Progress::with_candidate`]).
+    fn candidate(s: &Self::State) -> Option<&Self::Output>;
+
+    /// The round the node first held a candidate, for
+    /// [`RunReport::first_candidate_round`].
+    fn candidate_round(_s: &Self::State) -> Option<u64> {
+        None
     }
-    cfg.fault = spec.fault.clone();
-    cfg.schedule = spec.schedule;
-    cfg.topology = spec.topology.clone();
-    cfg.engine = spec.engine.clone();
-    cfg
+
+    /// Whether a candidate meets a [`StopCondition::FirstSolution`]
+    /// target.
+    fn hits(&self, candidate: &Self::Output, target: &Self::Target) -> bool;
+
+    /// Whether two outputs count as the same consensus.
+    fn agree(&self, a: &Self::Output, b: &Self::Output) -> bool;
+
+    /// [`RunReport::size_bound`].
+    fn size_bound(&self) -> Option<usize> {
+        None
+    }
+}
+
+impl<P: LpType + Sync> Gossip for LowLoadClarkson<P> {
+    type Element = P::Element;
+    type Output = BasisOf<P>;
+    type Target = P::Value;
+
+    fn start(&self, share: Vec<P::Element>) -> LowLoadState<P> {
+        self.initial_state(share)
+    }
+
+    fn output(s: &LowLoadState<P>) -> Option<&BasisOf<P>> {
+        s.output.as_ref()
+    }
+
+    fn candidate(s: &LowLoadState<P>) -> Option<&BasisOf<P>> {
+        s.candidate.as_deref()
+    }
+
+    fn candidate_round(s: &LowLoadState<P>) -> Option<u64> {
+        s.candidate_round
+    }
+
+    fn hits(&self, candidate: &BasisOf<P>, target: &P::Value) -> bool {
+        self.problem().values_close(&candidate.value, target)
+    }
+
+    fn agree(&self, a: &BasisOf<P>, b: &BasisOf<P>) -> bool {
+        self.problem().values_close(&a.value, &b.value)
+    }
+}
+
+impl<P: LpType + Sync> Gossip for HighLoadClarkson<P> {
+    type Element = P::Element;
+    type Output = BasisOf<P>;
+    type Target = P::Value;
+
+    fn start(&self, share: Vec<P::Element>) -> HighLoadState<P> {
+        self.initial_state(share)
+    }
+
+    fn output(s: &HighLoadState<P>) -> Option<&BasisOf<P>> {
+        s.output.as_ref()
+    }
+
+    fn candidate(s: &HighLoadState<P>) -> Option<&BasisOf<P>> {
+        s.local_basis.as_deref()
+    }
+
+    fn hits(&self, candidate: &BasisOf<P>, target: &P::Value) -> bool {
+        self.problem().values_close(&candidate.value, target)
+    }
+
+    fn agree(&self, a: &BasisOf<P>, b: &BasisOf<P>) -> bool {
+        self.problem().values_close(&a.value, &b.value)
+    }
+}
+
+impl Gossip for HittingSetGossip {
+    type Element = u32;
+    type Output = Vec<u32>;
+    /// Maximum acceptable hitting-set size.
+    type Target = usize;
+
+    fn start(&self, share: Vec<u32>) -> HittingSetState {
+        self.initial_state(share)
+    }
+
+    fn output(s: &HittingSetState) -> Option<&Vec<u32>> {
+        s.output.as_ref()
+    }
+
+    fn candidate(s: &HittingSetState) -> Option<&Vec<u32>> {
+        s.best.as_deref()
+    }
+
+    fn candidate_round(s: &HittingSetState) -> Option<u64> {
+        s.found_round
+    }
+
+    fn hits(&self, candidate: &Vec<u32>, target: &usize) -> bool {
+        candidate.len() <= *target
+    }
+
+    /// Exact agreement: every valid hitting set is a different answer.
+    fn agree(&self, a: &Vec<u32>, b: &Vec<u32>) -> bool {
+        a == b
+    }
+
+    fn size_bound(&self) -> Option<usize> {
+        Some(self.sample_size())
+    }
+}
+
+/// Runs `proto` for `driver`: scatters `elements` under `seed`, builds
+/// the network from the driver's config with that seed, attaches a
+/// [`FlightRecorder`] when asked, drives it, and assembles the report.
+fn run_gossip<M, P, G>(
+    driver: &Driver<P, M>,
+    proto: G,
+    seed: u64,
+    max_rounds: u64,
+    elements: &[G::Element],
+) -> Result<RunReport<G::Output>, DriverError>
+where
+    P: DriverProblem<M, Target = G::Target>,
+    G: Gossip,
+{
+    let states = scatter(elements, driver.n, seed)?
+        .into_iter()
+        .map(|share| proto.start(share))
+        .collect();
+    let cfg = NetworkConfig {
+        seed,
+        ..driver.net.clone()
+    };
+    let mut net = Network::new(proto, states, cfg);
+    if driver.record_phases {
+        net.set_recorder(Box::new(FlightRecorder::new()));
+    }
+    let (outcome, cause) = drive(&mut net, &driver.stop, max_rounds, driver.cancel.as_deref())?;
+    let states = net.states();
+    let outputs: Vec<_> = states.iter().map(|s| G::output(s).cloned()).collect();
+    Ok(RunReport {
+        consensus: consensus(&outputs, |a, b| net.protocol().agree(a, b)),
+        outputs,
+        rounds: outcome.rounds(),
+        all_halted: outcome.all_halted(),
+        stop_cause: cause,
+        first_candidate_round: states.iter().filter_map(G::candidate_round).min(),
+        size_bound: net.protocol().size_bound(),
+        doubling: None,
+        faults: FaultSummary::from_metrics(driver.net.fault.as_ref(), net.metrics()),
+        metrics: stamped_metrics(net.metrics(), &outcome, cause),
+        schedule: driver.net.schedule,
+        topology: driver.net.topology.name(),
+        exec: ExecInfo::from_threads(net.effective_parallelism()),
+        obs: net.recorder().summary(),
+    })
 }
 
 /// Steps `net` under `stop`, returning the outcome and its cause, or
-/// [`DriverError::Cancelled`] if `cancel` was raised mid-run.
+/// [`DriverError::Cancelled`] if `cancel` was raised.
 ///
-/// Cancellation is cooperative: the flag is checked between rounds
-/// (folded into the engine's stop predicate), so a raised flag ends the
-/// run at the next round boundary. An installed-but-never-raised flag
-/// cannot perturb the trajectory — the engine's RNG streams are derived
-/// from (seed, round, node, phase) alone and the predicate only reads
-/// network state — so the `None` and unraised-`Some` paths are
+/// Cancellation is cooperative: the flag is read before the first round
+/// and then folded into the one stop predicate, so a raised flag ends
+/// the run at the next round boundary. An installed-but-never-raised
+/// flag cannot perturb the trajectory — the engine's RNG streams are
+/// derived from (seed, round, node, phase) alone and the predicate only
+/// reads network state — so the `None` and unraised-`Some` paths are
 /// byte-identical.
-fn drive<Pr: Protocol, T>(
-    net: &mut Network<Pr>,
-    stop: &StopCondition<T>,
+fn drive<G: Gossip>(
+    net: &mut Network<G>,
+    stop: &StopCondition<G::Target>,
     max_rounds: u64,
     cancel: Option<&AtomicBool>,
-    target_hit: impl Fn(&Network<Pr>, &T) -> bool,
-    candidates: impl Fn(&Network<Pr>) -> usize,
 ) -> Result<(RunOutcome, StopCause), DriverError> {
     let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
     if cancelled() {
@@ -1094,72 +1178,41 @@ fn drive<Pr: Protocol, T>(
     // steady state; capped so absurd round budgets cannot pre-allocate
     // unbounded memory.
     net.reserve_rounds(max_rounds.min(4096) as usize);
-    match stop {
-        StopCondition::FullTermination => {
-            let outcome = match cancel {
-                None => net.run(max_rounds),
-                Some(c) => net.run_until(max_rounds, |_| c.load(Ordering::Relaxed)),
-            };
-            let cause = match outcome {
-                RunOutcome::Predicate { .. } => return Err(DriverError::Cancelled),
-                _ if outcome.all_halted() => StopCause::AllHalted,
-                _ => StopCause::MaxRounds,
-            };
-            Ok((outcome, cause))
-        }
-        StopCondition::FirstSolution(target) => {
-            let outcome = net.run_until(max_rounds, |net| cancelled() || target_hit(net, target));
-            let cause = match outcome {
-                RunOutcome::AllHalted { .. } => StopCause::AllHalted,
-                RunOutcome::Predicate { .. } => {
-                    if cancelled() {
-                        return Err(DriverError::Cancelled);
-                    }
-                    StopCause::TargetReached
+    let rounds = match stop {
+        StopCondition::RoundBudget(budget) => (*budget).min(max_rounds),
+        _ => max_rounds,
+    };
+    let outcome = net.run_until(rounds, |net| {
+        let candidates = || net.states().iter().filter_map(G::candidate);
+        cancelled()
+            || match stop {
+                StopCondition::FullTermination | StopCondition::RoundBudget(_) => false,
+                StopCondition::FirstSolution(target) => {
+                    candidates().any(|c| net.protocol().hits(c, target))
                 }
-                RunOutcome::MaxRounds { .. } => StopCause::MaxRounds,
-            };
-            Ok((outcome, cause))
+                StopCondition::Custom(pred) => pred(&Progress {
+                    round: net.round_index(),
+                    n: net.n(),
+                    halted: net.halted_count(),
+                    with_candidate: candidates().count(),
+                }),
+            }
+    });
+    let cause = match (outcome, stop) {
+        (RunOutcome::Predicate { .. }, _) if cancelled() => return Err(DriverError::Cancelled),
+        (RunOutcome::AllHalted { .. }, _) => StopCause::AllHalted,
+        (RunOutcome::Predicate { .. }, StopCondition::FirstSolution(_)) => StopCause::TargetReached,
+        (RunOutcome::Predicate { .. }, _) => StopCause::CustomStop,
+        (RunOutcome::MaxRounds { rounds }, StopCondition::RoundBudget(budget))
+            if rounds >= *budget =>
+        {
+            StopCause::RoundBudget
         }
-        StopCondition::RoundBudget(budget) => {
-            let capped = (*budget).min(max_rounds);
-            let outcome = match cancel {
-                None => net.run(capped),
-                Some(c) => net.run_until(capped, |_| c.load(Ordering::Relaxed)),
-            };
-            let cause = match outcome {
-                RunOutcome::Predicate { .. } => return Err(DriverError::Cancelled),
-                _ if outcome.all_halted() => StopCause::AllHalted,
-                _ if outcome.rounds() >= *budget => StopCause::RoundBudget,
-                // The max_rounds safety valve cut the run before the
-                // user's budget was reached.
-                _ => StopCause::MaxRounds,
-            };
-            Ok((outcome, cause))
-        }
-        StopCondition::Custom(pred) => {
-            let outcome = net.run_until(max_rounds, |net| {
-                cancelled()
-                    || pred(&Progress {
-                        round: net.round_index(),
-                        n: net.n(),
-                        halted: net.halted_count(),
-                        with_candidate: candidates(net),
-                    })
-            });
-            let cause = match outcome {
-                RunOutcome::AllHalted { .. } => StopCause::AllHalted,
-                RunOutcome::Predicate { .. } => {
-                    if cancelled() {
-                        return Err(DriverError::Cancelled);
-                    }
-                    StopCause::CustomStop
-                }
-                RunOutcome::MaxRounds { .. } => StopCause::MaxRounds,
-            };
-            Ok((outcome, cause))
-        }
-    }
+        // The max_rounds safety valve cut the run before the stop
+        // condition (or the user's round budget) was satisfied.
+        (RunOutcome::MaxRounds { .. }, _) => StopCause::MaxRounds,
+    };
+    Ok((outcome, cause))
 }
 
 /// The run's metrics with
@@ -1178,28 +1231,15 @@ fn stamped_metrics(metrics: &Metrics, outcome: &RunOutcome, cause: StopCause) ->
     metrics
 }
 
-/// Consensus under the problem's value tolerance: the first node's
-/// output, if every node output a value close to it.
-fn lp_consensus<P: LpType>(problem: &P, outputs: &[Option<BasisOf<P>>]) -> Option<BasisOf<P>> {
+/// The first node's output, if every node output one that `agree`s
+/// with it (the problem's value tolerance for LP-type problems, exact
+/// equality for hitting sets).
+fn consensus<O: Clone>(outputs: &[Option<O>], agree: impl Fn(&O, &O) -> bool) -> Option<O> {
     let first = outputs.first()?.as_ref()?;
-    for out in outputs {
-        let b = out.as_ref()?;
-        if !problem.values_close(&b.value, &first.value) {
-            return None;
-        }
-    }
-    Some(first.clone())
-}
-
-/// Consensus for hitting sets: exact agreement of every output.
-fn hs_consensus(outputs: &[Option<Vec<u32>>]) -> Option<Vec<u32>> {
-    let first = outputs.first()?.as_ref()?;
-    for out in outputs {
-        if out.as_ref()? != first {
-            return None;
-        }
-    }
-    Some(first.clone())
+    outputs
+        .iter()
+        .all(|o| o.as_ref().is_some_and(|o| agree(o, first)))
+        .then(|| first.clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -1220,181 +1260,85 @@ impl<P: LpType + Clone + Sync> DriverProblem<LpMode> for P {
     }
 
     fn execute(
-        &self,
-        spec: &RunSpec<'_, P::Value>,
+        driver: &Driver<P>,
         elements: &[P::Element],
     ) -> Result<RunReport<BasisOf<P>>, DriverError> {
-        if spec.n == 0 {
-            return Err(DriverError::NoNodes);
-        }
-        if spec.doubling.is_some() {
+        let (algorithm, doubling) = driver.resolved();
+        if doubling.is_some() {
             return Err(DriverError::UnsupportedDoubling {
-                algorithm: spec.algorithm.name(),
+                algorithm: algorithm.name(),
             });
         }
-        match spec.algorithm {
-            Algorithm::LowLoad(cfg) => run_low_load_driver(self, cfg, spec, elements),
-            Algorithm::HighLoad(cfg) => run_high_load_driver(self, cfg.clone(), spec, elements),
-            Algorithm::Accelerated { epsilon } => {
-                let cfg = HighLoadConfig::accelerated(spec.n, *epsilon);
-                run_high_load_driver(self, cfg, spec, elements)
+        let (problem, n, seed) = (driver.problem.clone(), driver.n, driver.net.seed);
+        let max_rounds = driver.max_rounds;
+        match &algorithm {
+            Algorithm::LowLoad(cfg) => {
+                let proto = LowLoadClarkson::new(problem, n, cfg);
+                run_gossip(driver, proto, seed, max_rounds, elements)
             }
-            Algorithm::Hypercube => run_hypercube_driver(self, spec, elements),
+            Algorithm::HighLoad(cfg) => {
+                let proto = HighLoadClarkson::new(problem, n, cfg);
+                run_gossip(driver, proto, seed, max_rounds, elements)
+            }
+            Algorithm::Accelerated { epsilon } => {
+                let cfg = HighLoadConfig::accelerated(n, *epsilon);
+                let proto = HighLoadClarkson::new(problem, n, &cfg);
+                run_gossip(driver, proto, seed, max_rounds, elements)
+            }
+            Algorithm::Hypercube => run_hypercube(driver, elements),
             Algorithm::HittingSet(_) => Err(DriverError::UnsupportedAlgorithm {
-                algorithm: spec.algorithm.name(),
-                problem: self.problem_kind(),
+                algorithm: algorithm.name(),
+                problem: driver.problem.problem_kind(),
             }),
         }
     }
 }
 
-fn run_low_load_driver<P: LpType + Clone + Sync>(
-    problem: &P,
-    cfg: &LowLoadConfig,
-    spec: &RunSpec<'_, P::Value>,
+fn run_hypercube<P: LpType + Clone + Sync>(
+    driver: &Driver<P>,
     elements: &[P::Element],
 ) -> Result<RunReport<BasisOf<P>>, DriverError> {
-    let proto = LowLoadClarkson::new(problem.clone(), spec.n, cfg);
-    let states: Vec<LowLoadState<P>> = scatter(elements, spec.n, spec.seed)?
-        .into_iter()
-        .map(|h0| proto.initial_state(h0))
-        .collect();
-    let mut net = Network::new(proto, states, net_config(spec));
-    if spec.record_phases {
-        net.set_recorder(Box::new(FlightRecorder::new()));
-    }
-    let (outcome, cause) = drive(
-        &mut net,
-        spec.stop,
-        spec.max_rounds,
-        spec.cancel,
-        |net, target| {
-            net.states().iter().any(|s| {
-                s.candidate
-                    .as_ref()
-                    .is_some_and(|b| net.protocol().problem().values_close(&b.value, target))
-            })
-        },
-        |net| {
-            net.states()
-                .iter()
-                .filter(|s| s.candidate.is_some())
-                .count()
-        },
-    )?;
-    let outputs: Vec<_> = net.states().iter().map(|s| s.output.clone()).collect();
-    Ok(RunReport {
-        consensus: lp_consensus(problem, &outputs),
-        outputs,
-        rounds: outcome.rounds(),
-        all_halted: outcome.all_halted(),
-        stop_cause: cause,
-        first_candidate_round: net.states().iter().filter_map(|s| s.candidate_round).min(),
-        size_bound: None,
-        doubling: None,
-        faults: FaultSummary::from_metrics(spec.fault.as_ref(), net.metrics()),
-        metrics: stamped_metrics(net.metrics(), &outcome, cause),
-        schedule: spec.schedule,
-        topology: spec.topology.name(),
-        exec: ExecInfo::from_threads(net.effective_parallelism()),
-        obs: net.recorder().summary(),
-    })
-}
-
-fn run_high_load_driver<P: LpType + Clone + Sync>(
-    problem: &P,
-    cfg: HighLoadConfig,
-    spec: &RunSpec<'_, P::Value>,
-    elements: &[P::Element],
-) -> Result<RunReport<BasisOf<P>>, DriverError> {
-    let proto = HighLoadClarkson::new(problem.clone(), spec.n, &cfg);
-    let states: Vec<HighLoadState<P>> = scatter(elements, spec.n, spec.seed)?
-        .into_iter()
-        .map(|h| proto.initial_state(h))
-        .collect();
-    let mut net = Network::new(proto, states, net_config(spec));
-    if spec.record_phases {
-        net.set_recorder(Box::new(FlightRecorder::new()));
-    }
-    let (outcome, cause) = drive(
-        &mut net,
-        spec.stop,
-        spec.max_rounds,
-        spec.cancel,
-        |net, target| {
-            net.states().iter().any(|s| {
-                s.local_basis
-                    .as_ref()
-                    .is_some_and(|b| net.protocol().problem().values_close(&b.value, target))
-            })
-        },
-        |net| {
-            net.states()
-                .iter()
-                .filter(|s| s.local_basis.is_some())
-                .count()
-        },
-    )?;
-    let outputs: Vec<_> = net.states().iter().map(|s| s.output.clone()).collect();
-    Ok(RunReport {
-        consensus: lp_consensus(problem, &outputs),
-        outputs,
-        rounds: outcome.rounds(),
-        all_halted: outcome.all_halted(),
-        stop_cause: cause,
-        first_candidate_round: None,
-        size_bound: None,
-        doubling: None,
-        faults: FaultSummary::from_metrics(spec.fault.as_ref(), net.metrics()),
-        metrics: stamped_metrics(net.metrics(), &outcome, cause),
-        schedule: spec.schedule,
-        topology: spec.topology.name(),
-        exec: ExecInfo::from_threads(net.effective_parallelism()),
-        obs: net.recorder().summary(),
-    })
-}
-
-fn run_hypercube_driver<P: LpType + Clone + Sync>(
-    problem: &P,
-    spec: &RunSpec<'_, P::Value>,
-    elements: &[P::Element],
-) -> Result<RunReport<BasisOf<P>>, DriverError> {
-    if !matches!(spec.stop, StopCondition::FullTermination) {
+    let net = &driver.net;
+    if !matches!(driver.stop, StopCondition::FullTermination) {
         return Err(DriverError::UnsupportedStop {
             algorithm: "hypercube",
         });
     }
-    if !spec.fault.is_perfect() {
+    if !net.fault.is_perfect() {
         return Err(DriverError::UnsupportedFaults {
             algorithm: "hypercube",
         });
     }
     // Likewise for the execution engine: there is no network whose
     // events could be scheduled, so only the default engine fits.
-    if !spec.engine.is_default() {
+    if !net.engine.is_default() {
         return Err(DriverError::UnsupportedEngine {
             algorithm: "hypercube",
         });
     }
     // Analytic baseline — no rounds to check between, so the cancel
     // flag is honoured once, up front.
-    if spec.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+    if driver
+        .cancel
+        .as_ref()
+        .is_some_and(|c| c.load(Ordering::Relaxed))
+    {
         return Err(DriverError::Cancelled);
     }
     // The baseline charges its per-iteration rounds against a hypercube
     // overlay; only the default complete topology (compatibility — the
     // run is analytic either way) or an explicit hypercube matches the
     // model being charged.
-    if !spec.topology.is_complete() && spec.topology.name() != "hypercube" {
+    if !net.topology.is_complete() && net.topology.name() != "hypercube" {
         return Err(DriverError::UnsupportedTopology {
             algorithm: "hypercube",
-            topology: spec.topology.name(),
+            topology: net.topology.name(),
         });
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
-    let rep = hypercube_clarkson(problem, elements, spec.n, &mut rng)
+    let mut rng = ChaCha8Rng::seed_from_u64(net.seed);
+    let rep = hypercube_clarkson(&driver.problem, elements, driver.n, &mut rng)
         .map_err(|e| DriverError::Solver(e.to_string()))?;
-    let outputs: Vec<Option<BasisOf<P>>> = vec![Some(rep.basis.clone()); spec.n];
+    let outputs: Vec<Option<BasisOf<P>>> = vec![Some(rep.basis.clone()); driver.n];
     Ok(RunReport {
         consensus: Some(rep.basis),
         outputs,
@@ -1408,9 +1352,9 @@ fn run_hypercube_driver<P: LpType + Clone + Sync>(
         metrics: Metrics::default(),
         // The hypercube baseline is computed analytically (no gossip
         // network, no destination draws), but the report still records
-        // the spec's schedule for uniformity.
-        schedule: spec.schedule,
-        topology: spec.topology.name(),
+        // the driver's schedule for uniformity.
+        schedule: net.schedule,
+        topology: net.topology.name(),
         exec: ExecInfo::sequential(),
         obs: None,
     })
@@ -1445,75 +1389,24 @@ impl DriverProblem<SetMode> for Arc<SetSystem> {
     }
 
     fn execute(
-        &self,
-        spec: &RunSpec<'_, usize>,
+        driver: &Driver<Self, SetMode>,
         elements: &[u32],
     ) -> Result<RunReport<Vec<u32>>, DriverError> {
-        if spec.n == 0 {
-            return Err(DriverError::NoNodes);
-        }
-        let cfg = match spec.algorithm {
-            Algorithm::HittingSet(cfg) => cfg,
-            other => {
-                return Err(DriverError::UnsupportedAlgorithm {
-                    algorithm: other.name(),
-                    problem: self.problem_kind(),
-                })
-            }
+        let (algorithm, doubling) = driver.resolved();
+        let Algorithm::HittingSet(cfg) = &algorithm else {
+            return Err(DriverError::UnsupportedAlgorithm {
+                algorithm: algorithm.name(),
+                problem: driver.problem.problem_kind(),
+            });
         };
-        match spec.doubling {
-            None => run_hitting_set_driver(self, cfg, spec, elements, spec.max_rounds),
-            Some(factor) => run_doubling_search(self, cfg, spec, elements, factor),
+        match doubling {
+            None => {
+                let proto = HittingSetGossip::new(driver.problem.clone(), driver.n, cfg);
+                run_gossip(driver, proto, driver.net.seed, driver.max_rounds, elements)
+            }
+            Some(factor) => run_doubling_search(driver, cfg, elements, factor),
         }
     }
-}
-
-fn run_hitting_set_driver(
-    sys: &Arc<SetSystem>,
-    cfg: &HittingSetConfig,
-    spec: &RunSpec<'_, usize>,
-    elements: &[u32],
-    max_rounds: u64,
-) -> Result<RunReport<Vec<u32>>, DriverError> {
-    let proto = HittingSetGossip::new(sys.clone(), spec.n, cfg);
-    let size_bound = proto.sample_size();
-    let states: Vec<HittingSetState> = scatter(elements, spec.n, spec.seed)?
-        .into_iter()
-        .map(|x0| proto.initial_state(x0))
-        .collect();
-    let mut net = Network::new(proto, states, net_config(spec));
-    if spec.record_phases {
-        net.set_recorder(Box::new(FlightRecorder::new()));
-    }
-    let (outcome, cause) = drive(
-        &mut net,
-        spec.stop,
-        max_rounds,
-        spec.cancel,
-        |net, target| {
-            net.states()
-                .iter()
-                .any(|s| s.best.as_ref().is_some_and(|hs| hs.len() <= *target))
-        },
-        |net| net.states().iter().filter(|s| s.best.is_some()).count(),
-    )?;
-    let outputs: Vec<_> = net.states().iter().map(|s| s.output.clone()).collect();
-    Ok(RunReport {
-        consensus: hs_consensus(&outputs),
-        outputs,
-        rounds: outcome.rounds(),
-        all_halted: outcome.all_halted(),
-        stop_cause: cause,
-        first_candidate_round: net.states().iter().filter_map(|s| s.found_round).min(),
-        size_bound: Some(size_bound),
-        doubling: None,
-        faults: FaultSummary::from_metrics(spec.fault.as_ref(), net.metrics()),
-        metrics: stamped_metrics(net.metrics(), &outcome, cause),
-        schedule: spec.schedule,
-        topology: spec.topology.name(),
-        exec: ExecInfo::from_threads(net.effective_parallelism()),
-        obs: net.recorder().summary(),
-    })
 }
 
 /// The doubling search on the unknown minimum-hitting-set size: each
@@ -1521,9 +1414,8 @@ fn run_hitting_set_driver(
 /// ([`doubling_attempt_seed`]) under a `factor · d · log2 n` round
 /// budget, until an attempt satisfies the stop condition.
 fn run_doubling_search(
-    sys: &Arc<SetSystem>,
+    driver: &Driver<Arc<SetSystem>, SetMode>,
     base_cfg: &HittingSetConfig,
-    spec: &RunSpec<'_, usize>,
     elements: &[u32],
     factor: f64,
 ) -> Result<RunReport<Vec<u32>>, DriverError> {
@@ -1531,10 +1423,11 @@ fn run_doubling_search(
     // target); a round budget stops every attempt without signalling
     // either, so the search could never distinguish "d too small" from
     // "budget hit" and would always diverge.
-    if matches!(spec.stop, StopCondition::RoundBudget(_)) {
+    if matches!(driver.stop, StopCondition::RoundBudget(_)) {
         return Err(DriverError::DoublingNeedsTermination);
     }
-    let log2n = (spec.n.max(2) as f64).log2();
+    let sys = &driver.problem;
+    let log2n = (driver.n.max(2) as f64).log2();
     let mut d = 1usize;
     let mut attempts = Vec::new();
     let mut total_rounds = 0u64;
@@ -1547,11 +1440,9 @@ fn run_doubling_search(
         // so the doubling search deliberately ignores the safety valve
         // (divergence is bounded by the ground-set-size check below).
         let budget = (factor * d as f64 * log2n).ceil().max(8.0) as u64;
-        let attempt_spec = RunSpec {
-            seed: doubling_attempt_seed(spec.seed, d),
-            ..*spec
-        };
-        let report = run_hitting_set_driver(sys, &cfg, &attempt_spec, elements, budget)?;
+        let proto = HittingSetGossip::new(sys.clone(), driver.n, &cfg);
+        let seed = doubling_attempt_seed(driver.net.seed, d);
+        let mut report = run_gossip(driver, proto, seed, budget, elements)?;
         total_rounds += report.rounds;
         let succeeded = report.all_halted
             || matches!(
@@ -1559,14 +1450,12 @@ fn run_doubling_search(
                 StopCause::TargetReached | StopCause::CustomStop
             );
         if succeeded {
-            return Ok(RunReport {
-                doubling: Some(DoublingReport {
-                    d_used: d,
-                    attempts,
-                    total_rounds,
-                }),
-                ..report
+            report.doubling = Some(DoublingReport {
+                d_used: d,
+                attempts,
+                total_rounds,
             });
+            return Ok(report);
         }
         if d > 2 * sys.n_elements().max(1) {
             return Err(DriverError::DoublingDiverged { d });
@@ -1923,7 +1812,10 @@ mod tests {
         );
         let mk = |v: MedValue| Some(lpt::Basis::new(Vec::new(), v));
         let outputs = vec![mk(base), mk(wobble), mk(base)];
-        let consensus = lp_consensus(&Med, &outputs).expect("tolerant consensus");
+        let lp_consensus = |outputs: &[Option<BasisOf<Med>>]| {
+            consensus(outputs, |a, b| Med.values_close(&a.value, &b.value))
+        };
+        let consensus = lp_consensus(&outputs).expect("tolerant consensus");
         assert!(Med.values_close(&consensus.value, &base));
         // ...while a genuine disagreement yields None.
         let far = MedValue {
@@ -1933,10 +1825,10 @@ mod tests {
         };
         assert!(!Med.values_close(&base, &far), "premise: outside tolerance");
         let disagreeing = vec![mk(base), mk(far)];
-        assert!(lp_consensus(&Med, &disagreeing).is_none());
+        assert!(lp_consensus(&disagreeing).is_none());
         // ...and a missing output (node never halted) also yields None.
         let partial = vec![mk(base), None];
-        assert!(lp_consensus(&Med, &partial).is_none());
+        assert!(lp_consensus(&partial).is_none());
     }
 
     #[test]

@@ -65,10 +65,7 @@ pub use client::{Client, RetryPolicy, SolveReply};
 pub use error::ServerError;
 pub use metrics::{Outcome, ServerObs};
 pub use pool::WorkerPool;
-pub use registry::{
-    execute, execute_with_cancel, execute_with_options, ExecOutcome, CHAOS_PANIC_WORKLOAD,
-    WORKLOADS,
-};
+pub use registry::{execute, execute_with_options, ExecOutcome, CHAOS_PANIC_WORKLOAD, WORKLOADS};
 pub use request::{parse_request, solve_request_line, Request};
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats, MAX_REQUEST_LINE};
 

@@ -1,6 +1,6 @@
 //! Server-side observability aggregation: latency, queue, and engine
 //! counters behind one mutex, snapshotted into a
-//! [`MetricsSnapshot`](gossip_sim::export::MetricsSnapshot) for the
+//! [`MetricsSnapshot`] for the
 //! `metrics` wire command.
 //!
 //! Everything here is strictly observational. None of these numbers

@@ -18,7 +18,7 @@
 use crate::error::ServerError;
 use gossip_sim::export::{Frame, RunHeader, RunSummary, WireError};
 use gossip_sim::ObsSummary;
-use lpt_gossip::driver::{Algorithm, Driver, RunReport, StopCondition};
+use lpt_gossip::driver::{Algorithm, Driver, DriverError, DriverProblem, RunReport, StopCondition};
 use lpt_gossip::spec::{AlgorithmSpec, RunSpecKey, StopSpec};
 use lpt_problems::Med;
 use lpt_workloads::med::MedDataset;
@@ -138,22 +138,21 @@ pub fn execute(key: &RunSpecKey) -> ExecOutcome {
     execute_with_options(key, None, false)
 }
 
-/// [`execute`] with a cooperative cancellation flag threaded into the
-/// driver ([`Driver::cancel_flag`]): raising the flag makes the run
-/// stop at the next round boundary with a typed `cancelled` error
-/// frame (`DriverError::Cancelled`, code 111). The server's
-/// per-request solve deadline raises it on timeout. A never-raised
-/// flag is byte-invisible — the reply is identical to [`execute`]'s.
-pub fn execute_with_cancel(key: &RunSpecKey, cancel: Option<Arc<AtomicBool>>) -> ExecOutcome {
-    execute_with_options(key, cancel, false)
-}
-
-/// [`execute_with_cancel`] with an opt-in phase recorder
-/// ([`Driver::record_phases`]): when `record_phases` is set the
-/// outcome's [`obs`](ExecOutcome::obs) carries the run's
-/// [`ObsSummary`]. Recording is observational by the engine's
-/// contract, so `bytes` are byte-identical whatever the flag says —
-/// the unit test below pins that.
+/// [`execute`] with a cooperative cancellation flag and an opt-in phase
+/// recorder.
+///
+/// The flag is threaded into the driver ([`Driver::cancel_flag`]):
+/// raising it makes the run stop at the next round boundary with a
+/// typed `cancelled` error frame (`DriverError::Cancelled`, code 111).
+/// The server's per-request solve deadline raises it on timeout. A
+/// never-raised flag is byte-invisible — the reply is identical to
+/// [`execute`]'s.
+///
+/// With `record_phases` ([`Driver::record_phases`]) the outcome's
+/// [`obs`](ExecOutcome::obs) carries the run's [`ObsSummary`].
+/// Recording is observational by the engine's contract, so `bytes` are
+/// byte-identical whatever the flag says — the unit test below pins
+/// that.
 pub fn execute_with_options(
     key: &RunSpecKey,
     cancel: Option<Arc<AtomicBool>>,
@@ -164,41 +163,52 @@ pub fn execute_with_options(
         // panic for the pool's catch_unwind boundary to contain.
         panic!("chaos-panic workload executed: injected failure for crash-safety drills");
     }
-    let scenario = match Scenario::parse(&key.fault) {
-        Some(s) => s,
-        None => {
-            return error_reply(WireError::from_error(&ServerError::UnknownScenario(
-                key.fault.clone(),
-            )))
-        }
+    let Some(scenario) = Scenario::parse(&key.fault) else {
+        return error_reply(WireError::from_error(&ServerError::UnknownScenario(
+            key.fault.clone(),
+        )));
     };
-    let topology = match TopologyPreset::parse(&key.topology) {
-        Some(t) => t,
-        None => {
-            return error_reply(WireError::from_error(&ServerError::UnknownTopology(
-                key.topology.clone(),
-            )))
-        }
+    let Some(topology) = TopologyPreset::parse(&key.topology) else {
+        return error_reply(WireError::from_error(&ServerError::UnknownTopology(
+            key.topology.clone(),
+        )));
     };
     if key.workload == "planted-hs" {
-        return execute_planted_hs(key, scenario, topology, cancel, record_phases);
+        // The generator needs d ≤ elements and draws set fillers without
+        // replacement, so tiny ground sets are rejected up front.
+        if (key.elements as usize) < PLANTED_SET_SIZE {
+            return error_reply(WireError::from_error(&ServerError::BadField {
+                field: "elements",
+                detail: format!("planted-hs needs at least {PLANTED_SET_SIZE} elements"),
+            }));
+        }
+        let n_elements = key.elements as usize;
+        let n_sets = (n_elements / 2).max(4);
+        let (sys, _planted) =
+            planted_hitting_set(n_elements, n_sets, PLANTED_D, PLANTED_SET_SIZE, key.seed);
+        let driver = configure(
+            Arc::new(sys),
+            key,
+            scenario,
+            topology,
+            cancel,
+            record_phases,
+        );
+        // Hitting-set nodes may halt on different (all valid) sets;
+        // render the deterministic best output: smallest, then
+        // lexicographically first.
+        return reply(key, driver.run_ground(), |r| {
+            r.best_output().map(|hs| {
+                let ids: Vec<String> = hs.iter().map(u32::to_string).collect();
+                format!("hs:{}:[{}]", hs.len(), ids.join(","))
+            })
+        });
     }
-    match MedDataset::parse(&key.workload) {
-        Some(ds) => execute_med(key, ds, scenario, topology, cancel, record_phases),
-        None => error_reply(WireError::from_error(&ServerError::UnknownWorkload(
+    let Some(dataset) = MedDataset::parse(&key.workload) else {
+        return error_reply(WireError::from_error(&ServerError::UnknownWorkload(
             key.workload.clone(),
-        ))),
-    }
-}
-
-fn execute_med(
-    key: &RunSpecKey,
-    dataset: MedDataset,
-    scenario: Scenario,
-    topology: TopologyPreset,
-    cancel: Option<Arc<AtomicBool>>,
-    record_phases: bool,
-) -> ExecOutcome {
+        )));
+    };
     if key.elements == 0 {
         return error_reply(WireError::from_error(&ServerError::BadField {
             field: "elements",
@@ -206,64 +216,28 @@ fn execute_med(
         }));
     }
     let points = dataset.generate(key.elements as usize, key.seed);
-    let mut driver = Driver::new(Med)
-        .nodes(key.n as usize)
-        .seed(key.seed)
-        .algorithm(wire_algorithm(key.algorithm))
-        .stop(wire_stop(key.stop))
-        .max_rounds(key.max_rounds)
-        .fault_model(scenario.fault_model())
-        .topology(topology.topology())
-        .rng_schedule(key.schedule)
-        .engine(key.engine.clone())
-        .record_phases(record_phases);
-    if let Some(flag) = cancel {
-        driver = driver.cancel_flag(flag);
-    }
-    if let Some(f) = key.doubling {
-        driver = driver.with_doubling_search(f.value());
-    }
-    match driver.run(&points) {
-        Ok(report) => {
-            // `{:?}` prints the shortest round-tripping decimal, so the
-            // rendering is as deterministic as the bits.
-            let consensus = report
-                .consensus_output()
-                .map(|b| format!("med:r2={:?}", b.value.r2));
-            ExecOutcome {
-                bytes: render_report(key, &report, consensus),
-                ran_driver: true,
-                obs: report.obs,
-            }
-        }
-        Err(e) => ExecOutcome {
-            bytes: frame_bytes(&[Frame::Error(WireError::from_error(&e))]),
-            ran_driver: true,
-            obs: None,
-        },
-    }
+    let driver = configure(Med, key, scenario, topology, cancel, record_phases);
+    // `{:?}` prints the shortest round-tripping decimal, so the
+    // rendering is as deterministic as the bits.
+    reply(key, driver.run(&points), |r| {
+        r.consensus_output()
+            .map(|b| format!("med:r2={:?}", b.value.r2))
+    })
 }
 
-fn execute_planted_hs(
+/// The driver for `key` on `problem`: nodes, seed, algorithm, stop,
+/// round cap, schedule, engine and doubling factor come off the key;
+/// the resolved fault scenario and topology, the cancel flag and the
+/// recorder switch come from the request.
+fn configure<M, P: DriverProblem<M>>(
+    problem: P,
     key: &RunSpecKey,
     scenario: Scenario,
     topology: TopologyPreset,
     cancel: Option<Arc<AtomicBool>>,
     record_phases: bool,
-) -> ExecOutcome {
-    // The generator needs d ≤ elements and draws set fillers without
-    // replacement, so tiny ground sets are rejected up front.
-    if (key.elements as usize) < PLANTED_SET_SIZE {
-        return error_reply(WireError::from_error(&ServerError::BadField {
-            field: "elements",
-            detail: format!("planted-hs needs at least {PLANTED_SET_SIZE} elements"),
-        }));
-    }
-    let n_elements = key.elements as usize;
-    let n_sets = (n_elements / 2).max(4);
-    let (sys, _planted) =
-        planted_hitting_set(n_elements, n_sets, PLANTED_D, PLANTED_SET_SIZE, key.seed);
-    let mut driver = Driver::new(Arc::new(sys))
+) -> Driver<P, M> {
+    let mut driver = Driver::new(problem)
         .nodes(key.n as usize)
         .seed(key.seed)
         .algorithm(wire_algorithm(key.algorithm))
@@ -280,21 +254,23 @@ fn execute_planted_hs(
     if let Some(f) = key.doubling {
         driver = driver.with_doubling_search(f.value());
     }
-    match driver.run_ground() {
-        Ok(report) => {
-            // Hitting-set nodes may halt on different (all valid) sets;
-            // render the deterministic best output: smallest, then
-            // lexicographically first.
-            let consensus = report.best_output().map(|hs| {
-                let ids: Vec<String> = hs.iter().map(u32::to_string).collect();
-                format!("hs:{}:[{}]", hs.len(), ids.join(","))
-            });
-            ExecOutcome {
-                bytes: render_report(key, &report, consensus),
-                ran_driver: true,
-                obs: report.obs,
-            }
-        }
+    driver
+}
+
+/// A driver run's reply: the rendered report, with `consensus` as its
+/// problem-specific consensus line, or the driver error as one typed
+/// frame.
+fn reply<O>(
+    key: &RunSpecKey,
+    run: Result<RunReport<O>, DriverError>,
+    consensus: impl FnOnce(&RunReport<O>) -> Option<String>,
+) -> ExecOutcome {
+    match run {
+        Ok(report) => ExecOutcome {
+            bytes: render_report(key, &report, consensus(&report)),
+            ran_driver: true,
+            obs: report.obs,
+        },
         Err(e) => ExecOutcome {
             bytes: frame_bytes(&[Frame::Error(WireError::from_error(&e))]),
             ran_driver: true,
@@ -434,14 +410,14 @@ mod tests {
         let mut key = RunSpecKey::new("duo-disk", 96, 24, 5);
         key.fault = "byzantine".to_string();
         let plain = execute(&key);
-        let flagged = execute_with_cancel(&key, Some(Arc::new(AtomicBool::new(false))));
+        let flagged = execute_with_options(&key, Some(Arc::new(AtomicBool::new(false))), false);
         assert_eq!(plain.bytes, flagged.bytes);
     }
 
     #[test]
     fn raised_cancel_flag_renders_the_typed_cancelled_frame() {
         let key = RunSpecKey::new("duo-disk", 128, 32, 1);
-        let out = execute_with_cancel(&key, Some(Arc::new(AtomicBool::new(true))));
+        let out = execute_with_options(&key, Some(Arc::new(AtomicBool::new(true))), false);
         assert!(out.ran_driver);
         let frames = frames_of(&out);
         assert_eq!(frames.len(), 1);
