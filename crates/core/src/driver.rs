@@ -658,7 +658,7 @@ pub struct SetMode;
 /// with the set-system implementation; exactly one implementation
 /// applies to any problem type, so inference always resolves `M`.
 /// [`DriverProblem::execute`] reads the driver's private configuration,
-/// so the two implementations in this module are the only ones.
+/// so only this module can implement it.
 pub trait DriverProblem<M>: Sized {
     /// The element type scattered over the network.
     type Element: Clone + Send + Sync;

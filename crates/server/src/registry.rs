@@ -265,17 +265,17 @@ fn reply<O>(
     run: Result<RunReport<O>, DriverError>,
     consensus: impl FnOnce(&RunReport<O>) -> Option<String>,
 ) -> ExecOutcome {
-    match run {
-        Ok(report) => ExecOutcome {
-            bytes: render_report(key, &report, consensus(&report)),
-            ran_driver: true,
-            obs: report.obs,
-        },
-        Err(e) => ExecOutcome {
-            bytes: frame_bytes(&[Frame::Error(WireError::from_error(&e))]),
-            ran_driver: true,
-            obs: None,
-        },
+    let (bytes, obs) = match run {
+        Ok(report) => (render_report(key, &report, consensus(&report)), report.obs),
+        Err(e) => (
+            frame_bytes(&[Frame::Error(WireError::from_error(&e))]),
+            None,
+        ),
+    };
+    ExecOutcome {
+        bytes,
+        ran_driver: true,
+        obs,
     }
 }
 
