@@ -378,6 +378,7 @@ pub struct Progress {
 }
 
 /// When a [`Driver`] run stops.
+#[derive(Clone)]
 pub enum StopCondition<T> {
     /// Run until every node has output and halted (the algorithms'
     /// actual termination, including the network-wide audit).
@@ -397,17 +398,6 @@ pub enum StopCondition<T> {
     /// Stop when the predicate returns `true` (checked after every
     /// round).
     Custom(Arc<dyn Fn(&Progress) -> bool + Send + Sync>),
-}
-
-impl<T: Clone> Clone for StopCondition<T> {
-    fn clone(&self) -> Self {
-        match self {
-            StopCondition::FullTermination => StopCondition::FullTermination,
-            StopCondition::FirstSolution(t) => StopCondition::FirstSolution(t.clone()),
-            StopCondition::RoundBudget(r) => StopCondition::RoundBudget(*r),
-            StopCondition::Custom(f) => StopCondition::Custom(f.clone()),
-        }
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for StopCondition<T> {

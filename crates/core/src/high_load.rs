@@ -18,6 +18,18 @@
 //! grows by a `(C+1)` factor every `d` rounds (Lemmas 16–17), forcing
 //! termination in `O(d log n)` rounds for `C = 1` and
 //! `O(d log n / log log n)` for `C = logᵉ n` (Theorem 4).
+//!
+//! # Append-only holdings
+//!
+//! A node's pool `H(v_i)` (`HighLoadState::h`) only grows, in `absorb`;
+//! nothing is ever deleted or reordered. Two per-round shortcuts rest on
+//! that, and both leave every result byte-identical:
+//!
+//! * the local basis is recomputed only when `h.len()` changed since the
+//!   last `basis_of` (which is a pure function of its input);
+//! * the termination audit scans only `h[from..]`, where `from` is the
+//!   entry's watermark: the prefix already found free of violators of
+//!   that entry's basis (see [`crate::termination`]).
 
 use crate::termination::{TermEntry, TermState};
 use gossip_sim::{NodeControl, PhaseRng, Protocol, Response, Served};
@@ -95,6 +107,8 @@ pub struct HighLoadState<P: LpType> {
     /// The node's current local basis (experiment stop predicates read
     /// this; the protocol itself only trusts the audited output).
     pub local_basis: Option<Arc<BasisOf<P>>>,
+    /// The length of `h` when `local_basis` was computed.
+    basis_len: usize,
     /// Local round counter.
     pub round: u64,
 }
@@ -108,6 +122,7 @@ impl<P: LpType> HighLoadState<P> {
             term: TermState::new(maturity),
             output: None,
             local_basis: None,
+            basis_len: 0,
             round: 0,
         }
     }
@@ -188,9 +203,11 @@ impl<P: LpType + Sync> Protocol for HighLoadClarkson<P> {
         state.round += 1;
 
         // --- Termination protocol. --------------------------------------
+        // `h` is append-only, so `h[..from]` was already found free of
+        // violators of the entry's basis.
         let h = &state.h;
-        let step = state.term.step(&self.problem, now, |basis| {
-            h.iter().any(|x| self.problem.violates(basis, x))
+        let step = state.term.step(&self.problem, now, h.len(), |basis, from| {
+            h[from..].iter().any(|x| self.problem.violates(basis, x))
         });
         for entry in step.pushes {
             pushes.push(HighLoadMsg::Term(entry));
@@ -208,9 +225,17 @@ impl<P: LpType + Sync> Protocol for HighLoadClarkson<P> {
         }
 
         // --- Compute and broadcast the local basis. ---------------------
-        let mut basis = self.problem.basis_of(&state.h);
-        self.problem.canonicalize(&mut basis);
-        let basis = Arc::new(basis);
+        // `basis_of` is pure and `h` only grows, so an unchanged length
+        // means an unchanged local basis.
+        let basis = match &state.local_basis {
+            Some(basis) if state.basis_len == state.h.len() => Arc::clone(basis),
+            _ => {
+                let mut basis = self.problem.basis_of(&state.h);
+                self.problem.canonicalize(&mut basis);
+                state.basis_len = state.h.len();
+                Arc::new(basis)
+            }
+        };
         // A basis with no local violators is (locally) optimal: inject it
         // for the network-wide audit. Our own basis trivially qualifies.
         // One Arc serves the audit entry, the C pushes, and local_basis.
@@ -393,5 +418,53 @@ mod tests {
         for out in &outputs {
             assert_eq!(out.as_ref().unwrap().value, 19);
         }
+    }
+
+    /// After every round, each live node's memoized `local_basis` equals
+    /// a freshly canonicalized `basis_of` of the pool it computed from
+    /// (the pool before that round's absorb, a prefix of the pool now).
+    fn assert_memo_fresh(cfg: &HighLoadConfig, seed: u64) {
+        use lpt_problems::Med;
+        let n = 64;
+        let points = lpt_workloads::med::triple_disk(4 * n, seed);
+        let proto = HighLoadClarkson::new(Med, n, cfg);
+        let states: Vec<_> = crate::driver::scatter(&points, n, seed)
+            .expect("n > 0")
+            .into_iter()
+            .map(|h| proto.initial_state(h))
+            .collect();
+        let mut net = Network::new(proto, states, NetworkConfig::with_seed(seed));
+        let mut before: Vec<_> = net.states().iter().map(|s| s.h.clone()).collect();
+        let mut rounds = 0;
+        while net.halted_count() < n as u64 {
+            assert!(rounds < 2000, "did not terminate");
+            net.round();
+            rounds += 1;
+            for (i, (state, prev)) in net.states().iter().zip(&before).enumerate() {
+                assert_eq!(
+                    &state.h[..prev.len()],
+                    &prev[..],
+                    "node {i}: h is append-only"
+                );
+                if net.is_halted(i) || prev.is_empty() {
+                    continue;
+                }
+                let mut fresh = Med.basis_of(prev);
+                Med.canonicalize(&mut fresh);
+                let memo = state.local_basis.as_deref().expect("computed this round");
+                assert_eq!(memo, &fresh, "node {i}, round {rounds}: stale local basis");
+            }
+            before = net.states().iter().map(|s| s.h.clone()).collect();
+        }
+    }
+
+    #[test]
+    fn memoized_local_basis_stays_fresh() {
+        assert_memo_fresh(&HighLoadConfig::default(), 31);
+        let accelerated = HighLoadConfig {
+            push_count: 8,
+            ..Default::default()
+        };
+        assert_memo_fresh(&accelerated, 32);
     }
 }

@@ -278,8 +278,11 @@ impl<P: LpType + Sync> Protocol for LowLoadClarkson<P> {
         state.round += 1;
 
         // --- Termination protocol (beginning of the iteration). --------
+        // Filtering shrinks `extra`, so the holdings are not append-only:
+        // every audit scans all of them and ignores the watermark.
         let (h0, extra) = (&state.h0, &state.extra);
-        let step = state.term.step(&self.problem, now, |basis| {
+        let held = h0.len() + extra.len();
+        let step = state.term.step(&self.problem, now, held, |basis, _from| {
             h0.iter()
                 .chain(extra.iter())
                 .any(|h| self.problem.violates(basis, h))
